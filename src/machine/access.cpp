@@ -14,7 +14,7 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
   if (nc.pending + nc.tlb_penalty >= cfg_.access_quantum) return false;
 
   const sim::PageId page = pageOf(vaddr);
-  const vm::PageEntry& e = pt_->entry(page);
+  vm::PageEntry& e = pt_->entry(page);
   if (e.state != vm::PageState::kResident) return false;
 
   if (!write) {
@@ -28,6 +28,7 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
     }
     if (!nc.l2.contains(vaddr)) return false;  // L1 state untouched above
     commitResidentTouch(cpu, page, false);
+    // No cache_holders update: the L2 line already implies this node's bit.
     (void)nc.l1.access(vaddr, false);  // counts the miss and fills the line
     (void)nc.l2.access(vaddr, false);  // guaranteed hit: containment checked
     nc.pending += cfg_.l1_hit_latency + cfg_.l2_hit_latency;
@@ -41,6 +42,7 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
   const std::uint64_t line = lineNumOf(vaddr);
   auto o1 = nc.l1.access(vaddr, true);
   if (!o1.hit) {
+    e.cache_holders |= std::uint64_t{1} << cpu;
     auto o2 = nc.l2.access(vaddr, true);
     if (o2.evicted && o2.evicted_dirty) {
       nc.mem_bus.request(eng_->now(), line_ser_membus_);
@@ -83,6 +85,7 @@ void Machine::commitResidentTouch(int cpu, sim::PageId page, bool write) {
   if (!nc.tlb.lookup(page)) {
     nc.tlb_penalty += cfg_.tlb_miss_latency;
     nc.tlb.insert(page);
+    e.tlb_holders |= std::uint64_t{1} << cpu;
   }
   if (e.home != sim::kNoNode) {
     nodes_[static_cast<std::size_t>(e.home)]->frames.touch(page);
@@ -110,6 +113,7 @@ sim::Task<> Machine::slowAccess(int cpu, std::uint64_t vaddr, bool write) {
       co_await eng_->delay(cfg_.tlb_miss_latency);
       if (pt_->entry(page).state != vm::PageState::kResident) continue;
       nc.tlb.insert(page);
+      e.tlb_holders |= std::uint64_t{1} << cpu;
     }
 
     if (e.home != sim::kNoNode) {
@@ -122,6 +126,7 @@ sim::Task<> Machine::slowAccess(int cpu, std::uint64_t vaddr, bool write) {
     sim::Tick pipeline = cfg_.l1_hit_latency;
     bool l2_miss = false;
     if (!o1.hit) {
+      e.cache_holders |= std::uint64_t{1} << cpu;
       auto o2 = nc.l2.access(vaddr, write);
       pipeline += cfg_.l2_hit_latency;
       l2_miss = !o2.hit;

@@ -73,11 +73,11 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
 
     nc.frames.addResident(page);
     e.home = cpu;
-    e.last_translation = cpu;
     e.dirty = from_ring || from_remote || write;  // those copies never hit disk
     e.referenced = true;
     pt_->setState(page, PageState::kResident);
     nc.tlb.insert(page);
+    e.tlb_holders |= std::uint64_t{1} << cpu;
 
     // Frame-reclaim stalls are reported as NoFree, not Fault.
     const sim::Tick f_end = eng_->now();

@@ -272,6 +272,31 @@ std::string Machine::checkInvariants() const {
     }
   }
 
+  // Holder masks: eviction invalidates only the nodes in a page's masks, so
+  // every translation and cached line must be covered by its page's mask.
+  for (int n = 0; n < cfg_.num_nodes; ++n) {
+    const NodeCtx& nc = *nodes_[static_cast<std::size_t>(n)];
+    const std::uint64_t bit = std::uint64_t{1} << n;
+    const auto covered = [&](sim::PageId p, std::uint64_t vm::PageEntry::*mask) {
+      return p < pt_->numPages() && (pt_->entry(p).*mask & bit) != 0;
+    };
+    const auto check_line = [&](const char* level, std::uint64_t addr) {
+      const sim::PageId p = pageOf(addr);
+      if (!covered(p, &vm::PageEntry::cache_holders)) {
+        bad << "node " << n << ": " << level << " line 0x" << std::hex << addr
+            << std::dec << " of page " << p << " outside its cache_holders\n";
+      }
+    };
+    nc.l1.forEachValidLine([&](std::uint64_t a) { check_line("L1", a); });
+    nc.l2.forEachValidLine([&](std::uint64_t a) { check_line("L2", a); });
+    nc.tlb.forEachPage([&](sim::PageId p) {
+      if (!covered(p, &vm::PageEntry::tlb_holders)) {
+        bad << "node " << n << ": TLB entry for page " << p
+            << " outside its tlb_holders\n";
+      }
+    });
+  }
+
   // Backend staging invariants (single-copy on the ring, remote guest
   // lists, ...).
   backend_->checkInvariants(bad);

@@ -109,6 +109,8 @@ class Machine {
   mem::Directory& directory() { return *dir_; }
   vm::FramePool& framePool(sim::NodeId n) { return nodes_[static_cast<std::size_t>(n)]->frames; }
   mem::Tlb& tlb(sim::NodeId n) { return nodes_[static_cast<std::size_t>(n)]->tlb; }
+  mem::SetAssocCache& l1(sim::NodeId n) { return nodes_[static_cast<std::size_t>(n)]->l1; }
+  mem::SetAssocCache& l2(sim::NodeId n) { return nodes_[static_cast<std::size_t>(n)]->l2; }
   io::DiskCache& diskCache(int disk) { return disks_[static_cast<std::size_t>(disk)]->cache; }
   io::DiskModel& disk(int d) { return disks_[static_cast<std::size_t>(d)]->disk; }
   /// The I/O backend implementing the configured system variant.
@@ -224,8 +226,9 @@ class Machine {
   const Timeline* timeline() const { return timeline_.get(); }
 
   // --- invariants (debug validators / property tests) -----------------------
-  /// Checks the single-copy invariant and frame accounting; returns a
-  /// human-readable violation description, empty when consistent.
+  /// Checks the single-copy invariant, frame accounting and the page
+  /// entries' TLB/cache holder masks; returns a human-readable violation
+  /// description, empty when consistent.
   std::string checkInvariants() const;
 
   // --- shared fabric contexts (used by the I/O backends) ---------------------

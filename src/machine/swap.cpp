@@ -7,6 +7,8 @@
 // staging, the DCD's log disk, or remote-memory paging. This file owns only
 // the variant-independent parts: victim selection, shootdowns, and the
 // metrics/trace wrapper around the backend's write-out.
+#include <bit>
+
 #include "machine/backends/io_backend.hpp"
 #include "machine/machine.hpp"
 #include "obs/timeline.hpp"
@@ -20,8 +22,14 @@ void Machine::shootdown(sim::PageId page, sim::NodeId initiator) {
   if (etl_ != nullptr && etl_->enabled(obs::Layer::kTlb)) {
     etl_->instant(obs::Layer::kTlb, "tlb.shootdown", eng_->now(), initiator, page);
   }
+  // Only nodes that installed a translation since the page was last
+  // claimed can hold one; every other node still takes the interrupt.
+  vm::PageEntry& e = pt_->entry(page);
+  for (std::uint64_t m = e.tlb_holders; m != 0; m &= m - 1) {
+    nodes_[static_cast<std::size_t>(std::countr_zero(m))]->tlb.invalidate(page);
+  }
+  e.tlb_holders = 0;
   for (int n = 0; n < cfg_.num_nodes; ++n) {
-    nodes_[static_cast<std::size_t>(n)]->tlb.invalidate(page);
     if (n != initiator) {
       nodes_[static_cast<std::size_t>(n)]->tlb_penalty += cfg_.interrupt_latency;
     }
@@ -42,10 +50,16 @@ void Machine::shootdown(sim::PageId page, sim::NodeId initiator) {
 
 void Machine::dropPageFromCachesAndDirectory(sim::PageId page) {
   const std::uint64_t base = static_cast<std::uint64_t>(page) * cfg_.page_bytes;
-  for (auto& node : nodes_) {
-    node->l1.invalidatePage(base, cfg_.page_bytes);
-    node->l2.invalidatePage(base, cfg_.page_bytes);
+  vm::PageEntry& e = pt_->entry(page);
+  for (std::uint64_t m = e.cache_holders; m != 0; m &= m - 1) {
+    NodeCtx& nc = *nodes_[static_cast<std::size_t>(std::countr_zero(m))];
+    nc.l1.invalidatePage(base, cfg_.page_bytes);
+    nc.l2.invalidatePage(base, cfg_.page_bytes);
   }
+  e.cache_holders = 0;
+  // Unconditional: a write that resumes after the page was claimed can
+  // still register ownership (slowAccess re-checks residency only before
+  // its cache access), so the directory may track nodes outside the mask.
   const std::uint64_t first_line = base / cfg_.l2.line_bytes;
   dir_->dropPage(first_line, cfg_.page_bytes / cfg_.l2.line_bytes);
 }
@@ -70,7 +84,6 @@ sim::Task<> Machine::replacementDaemon(sim::NodeId n) {
       shootdown(page, n);
       dropPageFromCachesAndDirectory(page);
       e.home = sim::kNoNode;
-      e.last_translation = n;
 
       if (!e.dirty) {
         // Clean: the disk copy is current; just free the frame.

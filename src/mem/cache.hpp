@@ -52,6 +52,16 @@ class SetAssocCache {
 
   void flushAll();
 
+  /// Calls `f(line_addr)` with the first byte address of every valid line
+  /// (invariant checks and tests; O(ways)).
+  template <class F>
+  void forEachValidLine(F&& f) const {
+    for (std::size_t i = 0; i < ways_.size(); ++i) {
+      const Way& w = ways_[i];
+      if (w.valid) f((w.tag * num_sets_ + i / params_.assoc) * params_.line_bytes);
+    }
+  }
+
   std::uint64_t lineBytes() const { return params_.line_bytes; }
   std::uint64_t lineOf(std::uint64_t addr) const {
     return line_shift_ >= 0 ? addr >> line_shift_ : addr / params_.line_bytes;

@@ -42,6 +42,12 @@ class Tlb {
 
   void flush() { lru_.clear(); }
 
+  /// Calls `f(page)` for every cached translation.
+  template <class F>
+  void forEachPage(F&& f) const {
+    lru_.forEach(f);
+  }
+
   int size() const { return lru_.size(); }
   int capacity() const { return entries_; }
   const sim::RatioCounter& hitStats() const { return hits_; }

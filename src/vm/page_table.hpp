@@ -3,8 +3,8 @@
 // One entry per virtual page. Entries are protected by a per-entry
 // coroutine mutex (the paper: "each entry of which is accessed by the
 // different processors with mutual exclusion") and carry the NWCache Ring
-// bit plus the last virtual-to-physical translation, which the victim-read
-// path uses to locate the cache channel holding the page.
+// bit plus the ring channel holding the page, which the victim-read path
+// uses to fetch it back.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +34,18 @@ struct PageEntry {
 
   PageState state = PageState::kDisk;
   sim::NodeId home = sim::kNoNode;           // holder node while kResident
-  sim::NodeId last_translation = sim::kNoNode;  // last node that held it
   int ring_channel = -1;                     // channel while kRing
   bool dirty = false;                        // modified since last disk copy
   bool referenced = false;                   // has ever been faulted in
+
+  // Nodes that may hold a translation (tlb_holders) or an L1/L2 line
+  // (cache_holders) of this page, one bit per node. A bit is set when the
+  // node fills its TLB or caches for the page and cleared only when the
+  // page is claimed for eviction, so each mask is a superset of the real
+  // holders and eviction visits only these nodes. Machine::checkInvariants
+  // verifies the superset property.
+  std::uint64_t tlb_holders = 0;
+  std::uint64_t cache_holders = 0;
 
   sim::CoMutex mutex;   // serializes fault/swap transitions on this entry
   sim::Signal changed;  // pulsed on every state transition
@@ -48,10 +56,11 @@ struct PageEntry {
   void reset(sim::Engine& eng) {
     state = PageState::kDisk;
     home = sim::kNoNode;
-    last_translation = sim::kNoNode;
     ring_channel = -1;
     dirty = false;
     referenced = false;
+    tlb_holders = 0;
+    cache_holders = 0;
     mutex.rebind(eng);
     changed.rebind(eng);
   }

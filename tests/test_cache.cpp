@@ -1,6 +1,10 @@
 // SetAssocCache: hits, LRU eviction, dirty tracking, invalidation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "mem/cache.hpp"
 
 namespace nwc::mem {
@@ -83,6 +87,29 @@ TEST(Cache, InvalidatePageCountsDirtyLines) {
   EXPECT_EQ(c.invalidatePage(0x1000, 4096), 2);
   EXPECT_FALSE(c.contains(0x1000));
   EXPECT_FALSE(c.contains(0x1060));
+}
+
+TEST(Cache, ForEachValidLineReportsLineAddresses) {
+  CacheParams odd;  // 96 sets: the non-power-of-two index path
+  odd.size_bytes = 6144;
+  odd.line_bytes = 32;
+  odd.assoc = 2;
+  for (const CacheParams& p : {smallCache(), odd}) {
+    SetAssocCache c(p);
+    c.access(0x1005, false);  // reported as its line's first byte
+    c.access(0x2040, true);
+    c.access(0x9040, false);
+    c.access(0x3000, false);
+    c.invalidateLine(c.lineOf(0x3000));
+    std::vector<std::uint64_t> seen;
+    c.forEachValidLine([&](std::uint64_t a) { seen.push_back(a); });
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{0x1000, 0x2040, 0x9040}));
+    c.flushAll();
+    seen.clear();
+    c.forEachValidLine([&](std::uint64_t a) { seen.push_back(a); });
+    EXPECT_TRUE(seen.empty());
+  }
 }
 
 TEST(Cache, FlushAllEmptiesCache) {

@@ -167,8 +167,9 @@ TEST(Engine, ExceptionPropagatesToAwaiter) {
 }
 
 TEST(Engine, AllSpawnedDoneTracksCompletion) {
+  std::vector<Tick> log;
   Engine e;
-  e.spawn(delayer(e, 10, new std::vector<Tick>()));  // deliberately leaked log
+  e.spawn(delayer(e, 10, &log));
   EXPECT_FALSE(e.allSpawnedDone());
   e.run();
   EXPECT_TRUE(e.allSpawnedDone());

@@ -2,8 +2,14 @@
 // NWCache victim-read path, TLB shootdown accounting, invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "apps/app_context.hpp"
+#include "apps/registry.hpp"
+#include "apps/workload.hpp"
 #include "machine/machine.hpp"
 #include "nwcache/interface.hpp"
 #include "nwcache/optical_ring.hpp"
@@ -140,6 +146,99 @@ TEST(Machine, ShootdownChargesOtherProcessors) {
   EXPECT_GT(m.metrics().cpu(1).tlb, 0u);
 }
 
+// --- holder masks -----------------------------------------------------------
+
+const std::vector<SystemKind> kAllSystems = {SystemKind::kStandard, SystemKind::kNWCache,
+                                             SystemKind::kDCD, SystemKind::kRemoteMemory};
+
+Task<> driveCpu(apps::AppContext& ctx, apps::WorkloadSource& src, int cpu) {
+  co_await src.drive(ctx, cpu);
+  co_await ctx.machine().fence(cpu);
+  ctx.machine().cpuDone(cpu);
+}
+
+// Runs `src` to completion on `m` as apps::runWorkload does, leaving the
+// machine's final state open to inspection.
+void runOn(Machine& m, apps::WorkloadSource& src) {
+  apps::AppContext ctx(m);
+  src.setup(ctx);
+  m.start();
+  for (int cpu = 0; cpu < m.config().num_nodes; ++cpu) {
+    m.engine().spawn(driveCpu(ctx, src, cpu));
+  }
+  m.engine().run();
+  ASSERT_TRUE(src.verify());
+}
+
+TEST(Machine, InvariantsReportLinesAndTranslationsOutsideHolderMasks) {
+  Machine m(tinyConfig(SystemKind::kStandard, Prefetch::kOptimal));
+  m.allocRegion(8 * 4096);
+  const PageId page = 5;
+  m.l1(3).access(page * 4096 + 64, false);  // planted: bit 3 never set
+  const std::string bad = m.checkInvariants();
+  EXPECT_NE(bad.find("node 3: L1 line"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("page 5 outside its cache_holders"), std::string::npos) << bad;
+
+  auto& e = m.pageTable().entry(page);
+  e.cache_holders = std::uint64_t{1} << 3;
+  EXPECT_EQ(m.checkInvariants(), "");
+  m.tlb(2).insert(page);
+  EXPECT_NE(m.checkInvariants().find("node 2: TLB entry for page 5 outside its tlb_holders"),
+            std::string::npos);
+  e.tlb_holders = std::uint64_t{1} << 2;
+  EXPECT_EQ(m.checkInvariants(), "");
+}
+
+TEST(Machine, KernelRunKeepsHolderMasksExactOnAllSystems) {
+  for (const SystemKind sys : kAllSystems) {
+    Machine m(tinyConfig(sys, Prefetch::kOptimal));
+    const apps::AppInfo* info = apps::findApp("radix");
+    ASSERT_NE(info, nullptr);
+    apps::KernelWorkload src(info->name, info->make(0.05));
+    runOn(m, src);
+    const std::string bad = m.checkInvariants();
+    EXPECT_EQ(bad.find("holders"), std::string::npos) << bad;
+    // Known defect outside the masks: the remote-memory backend loses a
+    // page from a donor's guest list when the donor's reclaim pops it while
+    // its store is still in flight ("remote but absent from node N's guest
+    // list").
+    if (sys != SystemKind::kRemoteMemory) {
+      EXPECT_EQ(bad, "") << m.config().describe();
+    }
+    ASSERT_GT(m.metrics().swap_outs + m.metrics().clean_evictions, 0u);
+    int shared = 0;
+    for (PageId p = 0; p < m.numPages(); ++p) {
+      const vm::PageEntry& e = m.pageTable().entry(p);
+      if (e.state != vm::PageState::kResident) {
+        EXPECT_EQ(e.tlb_holders, 0u) << "page " << p << " on " << m.config().describe();
+        EXPECT_EQ(e.cache_holders, 0u) << "page " << p << " on " << m.config().describe();
+      } else if (std::popcount(e.cache_holders) > 1) {
+        ++shared;
+      }
+    }
+    EXPECT_GT(shared, 0) << m.config().describe();  // radix shares pages
+  }
+}
+
+TEST(Machine, BlockTrafficLeavesCachesEmpty) {
+  for (const SystemKind sys : kAllSystems) {
+    Machine m(tinyConfig(sys, Prefetch::kOptimal));
+    auto src = apps::makeWorkload("synth:clients=4;objects=512;ops=200;seed=7", 1.0);
+    runOn(m, *src);
+    EXPECT_EQ(m.checkInvariants(), "") << m.config().describe();
+    ASSERT_GT(m.metrics().swap_outs + m.metrics().clean_evictions, 0u);
+    for (int n = 0; n < m.config().num_nodes; ++n) {
+      int lines = 0;
+      m.l1(n).forEachValidLine([&](std::uint64_t) { ++lines; });
+      m.l2(n).forEachValidLine([&](std::uint64_t) { ++lines; });
+      EXPECT_EQ(lines, 0) << "node " << n << " on " << m.config().describe();
+    }
+    for (PageId p = 0; p < m.numPages(); ++p) {
+      EXPECT_EQ(m.pageTable().entry(p).cache_holders, 0u) << "page " << p;
+    }
+  }
+}
+
 TEST(Machine, SwappedPageFaultsAgainAndHitsDiskCache) {
   Machine m(tinyConfig(SystemKind::kStandard, Prefetch::kNaive));
   m.allocRegion(64 * 4096);
@@ -211,7 +310,6 @@ TEST(Machine, VictimReadHitsTheRing) {
   m.ring()->reserve(0);
   m.ring()->insert(0, page);
   e.ring_channel = 0;
-  e.last_translation = 0;
   e.dirty = true;
   m.pageTable().setState(page, vm::PageState::kRing);
   // No interface FIFO record: the drain loop has not reached this page, as

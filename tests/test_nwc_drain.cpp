@@ -30,7 +30,6 @@ void stageOnRing(Machine& m, int ch, const std::vector<PageId>& pages) {
     m.ring()->reserve(ch);
     m.ring()->insert(ch, p);
     e.ring_channel = ch;
-    e.last_translation = ch;
     e.dirty = true;
     m.pageTable().setState(p, vm::PageState::kRing);
     m.nwcFifos(m.pfs().diskOf(p)).push(ch, {p, ch, seq++});
