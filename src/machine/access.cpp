@@ -1,6 +1,8 @@
 // Memory reference path: fast synchronous path for resident cache hits,
 // coroutine slow path for everything that must interact with the event
 // calendar (TLB-miss stalls, memory fetches, write-buffer stalls, faults).
+// The L1 read hit is inline in Machine::tryFastAccess (machine.hpp); the
+// synchronous L1-miss read and write cases are here.
 #include "machine/machine.hpp"
 
 namespace nwc::machine {
@@ -9,35 +11,26 @@ namespace {
 constexpr bool kRead = false;
 }  // namespace
 
-bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
+bool Machine::tryFastL1MissOrWrite(int cpu, std::uint64_t vaddr, bool write,
+                                   sim::PageId page, vm::PageEntry& e) {
   NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
-  if (nc.pending + nc.tlb_penalty >= cfg_.access_quantum) return false;
-
-  const sim::PageId page = pageOf(vaddr);
-  vm::PageEntry& e = pt_->entry(page);
-  if (e.state != vm::PageState::kResident) return false;
 
   if (!write) {
-    // Fused gate+access: an L1 hit costs one set probe. Cache bookkeeping
-    // is independent of the TLB/frame touch, so committing after the cache
-    // access is observationally identical to the old gate-first order.
-    if (nc.l1.accessIfHit(vaddr, false)) {
-      commitResidentTouch(cpu, page, false);
-      nc.pending += cfg_.l1_hit_latency;
-      return true;
-    }
-    if (!nc.l2.contains(vaddr)) return false;  // L1 state untouched above
-    commitResidentTouch(cpu, page, false);
+    // L1 read miss: an L2 hit completes here. With the L1 probe that just
+    // missed that is two set probes, and the L1 fill skips the hit check.
+    // Cache bookkeeping is independent of the TLB/frame touch, so the
+    // order of the two is unobservable.
+    if (!nc.l2.accessIfHit(vaddr, false)) return false;  // both caches untouched
+    commitResidentTouch(cpu, page, e, false);
     // No cache_holders update: the L2 line already implies this node's bit.
-    (void)nc.l1.access(vaddr, false);  // counts the miss and fills the line
-    (void)nc.l2.access(vaddr, false);  // guaranteed hit: containment checked
+    (void)nc.l1.fill(vaddr, false);
     nc.pending += cfg_.l1_hit_latency + cfg_.l2_hit_latency;
     return true;
   }
 
   if (nc.wb.full(eng_->now())) return false;
 
-  commitResidentTouch(cpu, page, true);
+  commitResidentTouch(cpu, page, e, true);
 
   const std::uint64_t line = lineNumOf(vaddr);
   auto o1 = nc.l1.access(vaddr, true);
@@ -78,22 +71,6 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
   return true;
 }
 
-void Machine::commitResidentTouch(int cpu, sim::PageId page, bool write) {
-  NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
-  vm::PageEntry& e = pt_->entry(page);
-
-  if (!nc.tlb.lookup(page)) {
-    nc.tlb_penalty += cfg_.tlb_miss_latency;
-    nc.tlb.insert(page);
-    e.tlb_holders |= std::uint64_t{1} << cpu;
-  }
-  if (e.home != sim::kNoNode) {
-    nodes_[static_cast<std::size_t>(e.home)]->frames.touch(page);
-  }
-  if (write) e.dirty = true;
-  e.referenced = true;
-}
-
 sim::Task<> Machine::slowAccess(int cpu, std::uint64_t vaddr, bool write) {
   NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
   co_await fence(cpu);  // put accumulated local time on the global clock
@@ -116,9 +93,7 @@ sim::Task<> Machine::slowAccess(int cpu, std::uint64_t vaddr, bool write) {
       e.tlb_holders |= std::uint64_t{1} << cpu;
     }
 
-    if (e.home != sim::kNoNode) {
-      nodes_[static_cast<std::size_t>(e.home)]->frames.touch(page);
-    }
+    touchFrame(e);
     e.referenced = true;
     if (write) e.dirty = true;
 

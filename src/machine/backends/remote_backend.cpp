@@ -41,7 +41,6 @@ sim::Task<> RemoteBackend::swapOut(sim::NodeId n, sim::PageId page,
   // mesh: source memory bus -> mesh -> donor memory bus.
   Machine::NodeCtx& dn = node(donor);
   dn.frames.consumeFrame();
-  remote_stored_[static_cast<std::size_t>(donor)].push_back(page);
 
   sim::Tick t = attrRequest(actx, obs::AttrStage::kMemBus, node(n).mem_bus,
                             eng().now(), pageSerMembus());
@@ -50,8 +49,11 @@ sim::Task<> RemoteBackend::swapOut(sim::NodeId n, sim::PageId page,
   t = attrRequest(actx, obs::AttrStage::kMemBus, dn.mem_bus, t, pageSerMembus());
   co_await eng().waitUntil(t);
 
+  // Only a landed page joins the donor's guest list: the donor's reclaim
+  // (takeGuestVictim) would drop an in-flight one as stale.
   vm::PageEntry& e = pt().entry(page);
   e.home = donor;  // the holder of the only copy
+  remote_stored_[static_cast<std::size_t>(donor)].push_back(page);
   pt().setState(page, PageState::kRemote);
   ++metrics().remote_stores;
   // e.dirty stays true: the modifications never reached the disk.

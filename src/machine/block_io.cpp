@@ -33,9 +33,7 @@ sim::Task<> Machine::blockAccess(int cpu, std::uint64_t vaddr, bool write) {
       continue;  // re-validate: the page may already be racing back out
     }
 
-    if (e.home != sim::kNoNode) {
-      nodes_[static_cast<std::size_t>(e.home)]->frames.touch(page);
-    }
+    touchFrame(e);
     e.referenced = true;
     if (write) e.dirty = true;
 

@@ -71,7 +71,7 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
     obs::AttrCtx actx;
     const bool controller_hit = co_await backend_->fetch(cpu, page, plan, actx);
 
-    nc.frames.addResident(page);
+    e.frame_slot = nc.frames.addResident(page);
     e.home = cpu;
     e.dirty = from_ring || from_remote || write;  // those copies never hit disk
     e.referenced = true;

@@ -265,10 +265,20 @@ std::string Machine::checkInvariants() const {
     if (resident && e.home == sim::kNoNode) {
       bad << "page " << p << ": resident without a home node\n";
     }
-    if (resident && e.home != sim::kNoNode &&
-        !nodes_[static_cast<std::size_t>(e.home)]->frames.isResident(p)) {
-      bad << "page " << p << ": entry says node " << e.home
-          << " but the frame pool disagrees\n";
+    if (resident && e.home != sim::kNoNode) {
+      // The access path refreshes the home LRU through frame_slot alone.
+      const vm::FramePool& fp = nodes_[static_cast<std::size_t>(e.home)]->frames;
+      if (!fp.isResident(p)) {
+        bad << "page " << p << ": entry says node " << e.home
+            << " but the frame pool disagrees\n";
+      } else if (e.frame_slot < 0 || e.frame_slot >= fp.totalFrames() ||
+                 fp.pageAt(e.frame_slot) != p) {
+        bad << "page " << p << ": frame_slot " << e.frame_slot
+            << " does not hold it on node " << e.home << "\n";
+      }
+    } else if (e.frame_slot != -1) {
+      bad << "page " << p << ": frame_slot " << e.frame_slot << " while "
+          << vm::toString(e.state) << "\n";
     }
   }
 

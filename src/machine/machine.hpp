@@ -269,9 +269,46 @@ class Machine {
   friend class IoBackend;
 
   // -- fast path helpers ----------------------------------------------------
-  bool tryFastAccess(int cpu, std::uint64_t vaddr, bool write);
+  /// Completes a reference synchronously when it can (resident page, cache
+  /// hit, quantum not exceeded). The L1 read hit, the most common reference,
+  /// is handled inline; L1 read misses and writes go out of line.
+  bool tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
+    NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
+    if (nc.pending + nc.tlb_penalty >= cfg_.access_quantum) return false;
+    const sim::PageId page = pageOf(vaddr);
+    vm::PageEntry& e = pt_->entry(page);
+    if (e.state != vm::PageState::kResident) return false;
+    if (write || !nc.l1.accessIfHit(vaddr, false)) {
+      return tryFastL1MissOrWrite(cpu, vaddr, write, page, e);
+    }
+    commitResidentTouch(cpu, page, e, false);
+    nc.pending += cfg_.l1_hit_latency;
+    return true;
+  }
+  bool tryFastL1MissOrWrite(int cpu, std::uint64_t vaddr, bool write, sim::PageId page,
+                            vm::PageEntry& e);
   sim::Task<> slowAccess(int cpu, std::uint64_t vaddr, bool write);
-  void commitResidentTouch(int cpu, sim::PageId page, bool write);
+
+  /// TLB, frame-LRU and page-state side effects of a resident reference.
+  void commitResidentTouch(int cpu, sim::PageId page, vm::PageEntry& e, bool write) {
+    NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
+    if (!nc.tlb.lookup(page)) {
+      nc.tlb_penalty += cfg_.tlb_miss_latency;
+      nc.tlb.insert(page);
+      e.tlb_holders |= std::uint64_t{1} << cpu;
+    }
+    touchFrame(e);
+    if (write) e.dirty = true;
+    e.referenced = true;
+  }
+
+  /// Refreshes a resident page in its home node's frame LRU, through the
+  /// slot kept in its entry (no page lookup).
+  void touchFrame(const vm::PageEntry& e) {
+    if (e.home != sim::kNoNode) {
+      nodes_[static_cast<std::size_t>(e.home)]->frames.touchSlot(e.frame_slot);
+    }
+  }
 
   // -- fault path (fault.cpp) -------------------------------------------------
   sim::Task<> pageFault(int cpu, sim::PageId page, bool write);

@@ -84,6 +84,7 @@ sim::Task<> Machine::replacementDaemon(sim::NodeId n) {
       shootdown(page, n);
       dropPageFromCachesAndDirectory(page);
       e.home = sim::kNoNode;
+      e.frame_slot = -1;
 
       if (!e.dirty) {
         // Clean: the disk copy is current; just free the frame.

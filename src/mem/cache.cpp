@@ -20,69 +20,30 @@ SetAssocCache::SetAssocCache(const CacheParams& p) : params_(p) {
   }
 }
 
-CacheOutcome SetAssocCache::access(std::uint64_t addr, bool write) {
+CacheOutcome SetAssocCache::fill(std::uint64_t addr, bool write) {
   const std::uint64_t line = lineOf(addr);
   const std::uint64_t set = setOf(line);
-  const std::uint64_t tag = tagOf(line);
   Way* base = &ways_[set * params_.assoc];
 
-  CacheOutcome out;
+  // Victim: the last invalid way, else the least recently used one.
   Way* victim = base;
   for (std::uint32_t w = 0; w < params_.assoc; ++w) {
     Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      way.dirty = way.dirty || write;
-      out.hit = true;
-      hits_.hit();
-      return out;
-    }
-    if (!way.valid) {
+    if (!way.valid()) {
       victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
+    } else if (victim->valid() && way.stamp < victim->stamp) {
       victim = &way;
     }
   }
 
-  hits_.miss();
-  if (victim->valid) {
+  CacheOutcome out;
+  if (victim->valid()) {
     out.evicted = true;
-    out.evicted_dirty = victim->dirty;
+    out.evicted_dirty = victim->dirty();
     out.evicted_line = victim->tag * num_sets_ + set;
   }
-  victim->valid = true;
-  victim->dirty = write;
-  victim->tag = tag;
-  victim->lru = ++tick_;
+  *victim = Way{tagOf(line), (++tick_ << 1) | static_cast<std::uint64_t>(write)};
   return out;
-}
-
-bool SetAssocCache::accessIfHit(std::uint64_t addr, bool write) {
-  const std::uint64_t line = lineOf(addr);
-  const std::uint64_t set = setOf(line);
-  const std::uint64_t tag = tagOf(line);
-  Way* base = &ways_[set * params_.assoc];
-  for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      way.dirty = way.dirty || write;
-      hits_.hit();
-      return true;
-    }
-  }
-  return false;
-}
-
-bool SetAssocCache::contains(std::uint64_t addr) const {
-  const std::uint64_t line = lineOf(addr);
-  const std::uint64_t set = setOf(line);
-  const std::uint64_t tag = tagOf(line);
-  const Way* base = &ways_[set * params_.assoc];
-  for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
-  }
-  return false;
 }
 
 bool SetAssocCache::invalidateLine(std::uint64_t line_addr) {
@@ -91,10 +52,9 @@ bool SetAssocCache::invalidateLine(std::uint64_t line_addr) {
   Way* base = &ways_[set * params_.assoc];
   for (std::uint32_t w = 0; w < params_.assoc; ++w) {
     Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      const bool dirty = way.dirty;
-      way.valid = false;
-      way.dirty = false;
+    if (way.tag == tag) {
+      const bool dirty = way.dirty();
+      way = Way{};
       return dirty;
     }
   }
@@ -110,10 +70,7 @@ int SetAssocCache::invalidatePage(std::uint64_t page_base, std::uint64_t page_by
 }
 
 void SetAssocCache::flushAll() {
-  for (auto& w : ways_) {
-    w.valid = false;
-    w.dirty = false;
-  }
+  for (auto& w : ways_) w = Way{};
 }
 
 }  // namespace nwc::mem

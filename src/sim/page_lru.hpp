@@ -2,11 +2,11 @@
 //
 // An intrusive doubly-linked list over a fixed node array (indices, not
 // pointers — reusable and relocation-safe) with a FlatPageMap index. Backs
-// the TLB and the per-node frame pool, which both used to pay a hash-bucket
-// walk (and, for the TLB, a full O(n) min-scan per eviction) on the hottest
-// path in the simulator. Recency order is total (every touch moves the page
-// to MRU), so victim selection is exactly the unique least-recently-used
-// page — identical behavior to the tick-based implementations it replaced.
+// the per-node frame pool. A page keeps its node (slot) for as long as it
+// is in the list, so a caller that remembers the slot `pushMru` returned
+// refreshes the page without touching the index. Recency order is total
+// (every touch moves the page to MRU), so victim selection is exactly the
+// unique least-recently-used page.
 #pragma once
 
 #include <cassert>
@@ -45,26 +45,26 @@ class PageLruList {
   bool empty() const { return head_ == kNil; }
   bool contains(PageId page) const { return index_.contains(page); }
 
-  /// Moves `page` to MRU. Returns false (and does nothing) if absent.
-  bool touch(PageId page) {
-    // Consecutive references overwhelmingly hit the same page (many lines
-    // per page): when it is already MRU the move is a no-op — skip the
-    // hash probe entirely.
-    if (tail_ != kNil && nodes_[static_cast<std::size_t>(tail_)].page == page) return true;
-    const int* n = index_.find(page);
-    if (n == nullptr) return false;
-    moveToTail(*n);
-    return true;
+  /// Moves the page in `slot` to MRU. Precondition: the slot is occupied
+  /// (it was returned by pushMru and its page not erased since).
+  void touchSlot(int slot) {
+    assert(pageAt(slot) != kNoPage);
+    moveToTail(slot);
   }
 
-  /// Inserts `page` at MRU. Precondition: !contains(page), size()<capacity.
-  void pushMru(PageId page) {
+  /// The page in `slot`, or kNoPage if the slot is free.
+  PageId pageAt(int slot) const { return nodes_[static_cast<std::size_t>(slot)].page; }
+
+  /// Inserts `page` at MRU and returns its slot, which stays valid until
+  /// the page is erased. Precondition: !contains(page), size()<capacity.
+  int pushMru(PageId page) {
     assert(!free_.empty() && "PageLruList over capacity");
     const int n = free_.back();
     free_.pop_back();
     nodes_[static_cast<std::size_t>(n)].page = page;
     linkTail(n);
     index_.set(page, n);
+    return n;
   }
 
   /// Removes `page`; returns false if absent.
@@ -73,17 +73,10 @@ class PageLruList {
     if (n == nullptr) return false;
     const int i = *n;
     unlink(i);
+    nodes_[static_cast<std::size_t>(i)].page = kNoPage;
     free_.push_back(i);
     index_.erase(page);
     return true;
-  }
-
-  /// Calls `f(page)` for every page, least recently used first.
-  template <class F>
-  void forEach(F&& f) const {
-    for (int n = head_; n != kNil; n = nodes_[static_cast<std::size_t>(n)].next) {
-      f(nodes_[static_cast<std::size_t>(n)].page);
-    }
   }
 
   /// Least-recently-used page; kNoPage when empty.

@@ -20,9 +20,9 @@ void FramePool::reset(int total_frames, int min_free) {
   assert(min_free_ >= 0 && min_free_ <= total_);
 }
 
-void FramePool::allocate(sim::PageId page) {
+int FramePool::allocate(sim::PageId page) {
   consumeFrame();
-  addResident(page);
+  return addResident(page);
 }
 
 void FramePool::consumeFrame() {
@@ -31,9 +31,9 @@ void FramePool::consumeFrame() {
   ++allocations_;
 }
 
-void FramePool::addResident(sim::PageId page) {
+int FramePool::addResident(sim::PageId page) {
   assert(!lru_.contains(page));
-  lru_.pushMru(page);
+  return lru_.pushMru(page);
 }
 
 bool FramePool::retire(sim::PageId page) {

@@ -33,20 +33,25 @@ class FramePool {
   /// True if the replacement daemon should be swapping pages out.
   bool belowReserve() const { return free_ < min_free_; }
 
-  /// Claims a free frame for `page` (page becomes resident, MRU).
-  /// Precondition: freeFrames() > 0.
-  void allocate(sim::PageId page);
+  /// Claims a free frame for `page` (page becomes resident, MRU) and
+  /// returns its LRU slot (see addResident). Precondition: freeFrames() > 0.
+  int allocate(sim::PageId page);
 
   /// Claims a free frame without registering residency (fetch in flight;
   /// the in-transit page must stay invisible to LRU victim selection).
   void consumeFrame();
 
   /// Registers `page` as resident (MRU) in a frame previously claimed with
-  /// `consumeFrame()`.
-  void addResident(sim::PageId page);
+  /// `consumeFrame()`. Returns the page's LRU slot: it names the page until
+  /// `retire`/`evictNow`, and `touchSlot` refreshes the page through it
+  /// without a page lookup (the page table entry keeps it as `frame_slot`).
+  int addResident(sim::PageId page);
 
-  /// Refreshes `page` to MRU position. No-op if not resident here.
-  void touch(sim::PageId page) { lru_.touch(page); }
+  /// Refreshes the resident page in `slot` to MRU position.
+  void touchSlot(int slot) { lru_.touchSlot(slot); }
+
+  /// The resident page in `slot`, or kNoPage (invariant checks).
+  sim::PageId pageAt(int slot) const { return lru_.pageAt(slot); }
 
   /// Removes `page` from the resident set WITHOUT freeing its frame (the
   /// frame is reclaimed later, when the swap-out completes).

@@ -33,10 +33,11 @@ struct PageEntry {
   PageEntry(sim::Engine& eng) : mutex(eng), changed(eng) {}
 
   PageState state = PageState::kDisk;
-  sim::NodeId home = sim::kNoNode;           // holder node while kResident
-  int ring_channel = -1;                     // channel while kRing
   bool dirty = false;                        // modified since last disk copy
   bool referenced = false;                   // has ever been faulted in
+  sim::NodeId home = sim::kNoNode;           // holder node while kResident
+  int frame_slot = -1;                       // home FramePool slot while kResident
+  int ring_channel = -1;                     // channel while kRing
 
   // Nodes that may hold a translation (tlb_holders) or an L1/L2 line
   // (cache_holders) of this page, one bit per node. A bit is set when the
@@ -56,6 +57,7 @@ struct PageEntry {
   void reset(sim::Engine& eng) {
     state = PageState::kDisk;
     home = sim::kNoNode;
+    frame_slot = -1;
     ring_channel = -1;
     dirty = false;
     referenced = false;

@@ -34,19 +34,27 @@ TEST(FramePool, BelowReserveThreshold) {
 
 TEST(FramePool, LruVictimIsOldestUntouched) {
   FramePool fp(8, 1);
-  fp.allocate(1);
+  const int s1 = fp.allocate(1);
   fp.allocate(2);
   fp.allocate(3);
   EXPECT_EQ(*fp.lruVictim(), 1);
-  fp.touch(1);  // refresh: 2 becomes LRU
+  fp.touchSlot(s1);  // refresh: 2 becomes LRU
   EXPECT_EQ(*fp.lruVictim(), 2);
 }
 
-TEST(FramePool, TouchUnknownPageIsNoop) {
+TEST(FramePool, SlotNamesItsPageUntilRetired) {
   FramePool fp(4, 1);
-  fp.allocate(1);
-  fp.touch(99);
-  EXPECT_EQ(*fp.lruVictim(), 1);
+  const int s1 = fp.allocate(1);
+  const int s2 = fp.allocate(2);
+  EXPECT_NE(s1, s2);
+  EXPECT_EQ(fp.pageAt(s1), 1);
+  EXPECT_EQ(fp.pageAt(s2), 2);
+  EXPECT_TRUE(fp.retire(1));
+  EXPECT_EQ(fp.pageAt(s1), sim::kNoPage);
+  fp.consumeFrame();
+  const int s3 = fp.addResident(3);  // may reuse the freed slot
+  EXPECT_EQ(fp.pageAt(s3), 3);
+  EXPECT_EQ(fp.pageAt(s2), 2);
 }
 
 TEST(FramePool, RetireRemovesWithoutFreeing) {
@@ -89,10 +97,10 @@ TEST(FramePool, StatsCount) {
 
 TEST(FramePool, FifoOfEqualTouches) {
   FramePool fp(8, 1);
-  fp.allocate(1);
-  fp.allocate(2);
-  fp.touch(1);
-  fp.touch(2);
+  const int s1 = fp.allocate(1);
+  const int s2 = fp.allocate(2);
+  fp.touchSlot(s1);
+  fp.touchSlot(s2);
   EXPECT_EQ(*fp.lruVictim(), 1);  // order preserved after equal touches
 }
 

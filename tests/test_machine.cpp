@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app_context.hpp"
@@ -196,15 +197,7 @@ TEST(Machine, KernelRunKeepsHolderMasksExactOnAllSystems) {
     ASSERT_NE(info, nullptr);
     apps::KernelWorkload src(info->name, info->make(0.05));
     runOn(m, src);
-    const std::string bad = m.checkInvariants();
-    EXPECT_EQ(bad.find("holders"), std::string::npos) << bad;
-    // Known defect outside the masks: the remote-memory backend loses a
-    // page from a donor's guest list when the donor's reclaim pops it while
-    // its store is still in flight ("remote but absent from node N's guest
-    // list").
-    if (sys != SystemKind::kRemoteMemory) {
-      EXPECT_EQ(bad, "") << m.config().describe();
-    }
+    EXPECT_EQ(m.checkInvariants(), "") << m.config().describe();
     ASSERT_GT(m.metrics().swap_outs + m.metrics().clean_evictions, 0u);
     int shared = 0;
     for (PageId p = 0; p < m.numPages(); ++p) {
@@ -218,6 +211,38 @@ TEST(Machine, KernelRunKeepsHolderMasksExactOnAllSystems) {
     }
     EXPECT_GT(shared, 0) << m.config().describe();  // radix shares pages
   }
+}
+
+TEST(Machine, RemoteStoreJoinsTheGuestListOnlyOnceLanded) {
+  // Regression: a remote store used to join the donor's guest list before
+  // its transfer landed, so the donor's reclaim could pop it as stale and
+  // leave a kRemote page on no guest list (`nwcsim --app=radix
+  // --scale=0.05 --system=remote --minfree=2 --set memory_per_node=32768`).
+  Machine m(tinyConfig(SystemKind::kRemoteMemory, Prefetch::kOptimal));
+  const apps::AppInfo* info = apps::findApp("radix");
+  ASSERT_NE(info, nullptr);
+  apps::KernelWorkload src(info->name, info->make(0.05));
+  runOn(m, src);
+  EXPECT_EQ(m.checkInvariants(), "");
+  EXPECT_GT(m.metrics().remote_stores, 0u);
+  EXPECT_GT(m.metrics().remote_evictions, 0u);  // donors did reclaim guests
+}
+
+TEST(Machine, InvariantsReportAFrameSlotThatDoesNotHoldItsPage) {
+  Machine m(tinyConfig(SystemKind::kStandard, Prefetch::kOptimal));
+  m.allocRegion(64 * 4096);
+  m.start();
+  m.engine().spawn(touchPages(m, 0, {0, 1}, false));
+  m.engine().run();
+  ASSERT_EQ(m.checkInvariants(), "");
+  auto& e0 = m.pageTable().entry(0);
+  auto& e1 = m.pageTable().entry(1);
+  EXPECT_EQ(m.framePool(0).pageAt(e0.frame_slot), 0);
+  std::swap(e0.frame_slot, e1.frame_slot);
+  EXPECT_NE(m.checkInvariants().find("page 0: frame_slot"), std::string::npos);
+  std::swap(e0.frame_slot, e1.frame_slot);
+  m.pageTable().entry(7).frame_slot = 0;  // never faulted in
+  EXPECT_NE(m.checkInvariants().find("page 7: frame_slot 0 while"), std::string::npos);
 }
 
 TEST(Machine, BlockTrafficLeavesCachesEmpty) {

@@ -26,6 +26,24 @@ TEST(PageTable, AddPagesGrows) {
   EXPECT_EQ(pt.entry(9).state, PageState::kDisk);
 }
 
+TEST(PageTable, RecycledEntriesComeBackPristine) {
+  sim::Engine e;
+  PageTable pt(e, 2);
+  PageEntry& used = pt.entry(1);
+  used.state = PageState::kResident;
+  used.home = 3;
+  used.frame_slot = 5;
+  used.tlb_holders = used.cache_holders = 0xff;
+  pt.recycle();
+  pt.addPages(e, 2);
+  const PageEntry& fresh = pt.entry(1);
+  EXPECT_EQ(fresh.state, PageState::kDisk);
+  EXPECT_EQ(fresh.home, sim::kNoNode);
+  EXPECT_EQ(fresh.frame_slot, -1);
+  EXPECT_EQ(fresh.tlb_holders, 0u);
+  EXPECT_EQ(fresh.cache_holders, 0u);
+}
+
 TEST(PageTable, SetStatePulsesChanged) {
   sim::Engine e;
   PageTable pt(e, 2);
