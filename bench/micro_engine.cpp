@@ -8,7 +8,6 @@
 #include "mem/tlb.hpp"
 #include "net/mesh.hpp"
 #include "sim/calendar.hpp"
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo_server.hpp"
 #include "sim/random.hpp"
@@ -171,25 +170,6 @@ void BM_RngNext(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngNext);
-
-sim::Task<> chanProducer(sim::Channel<int>& ch, int n) {
-  for (int i = 0; i < n; ++i) co_await ch.send(i);
-}
-sim::Task<> chanConsumer(sim::Channel<int>& ch, int n) {
-  for (int i = 0; i < n; ++i) (void)co_await ch.recv();
-}
-
-void BM_ChannelPingPong(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine e;
-    sim::Channel<int> ch(e, 16);
-    e.spawn(chanProducer(ch, 2000));
-    e.spawn(chanConsumer(ch, 2000));
-    e.run();
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_ChannelPingPong);
 
 }  // namespace
 

@@ -49,7 +49,6 @@ struct SuiteOptions {
   unsigned warmup = 1;
   double scale = 0.1;       // pinned canonical scale
   unsigned jobs = 2;        // parallel-grid workload width
-  unsigned sim_threads = 4; // partitions for the radix64/simtN workload
 };
 
 [[noreturn]] void usage(int code) {
@@ -60,8 +59,7 @@ struct SuiteOptions {
       "  --trials=N    measured trials per workload, median reported (default 5)\n"
       "  --warmup=N    unmeasured warmup runs per workload (default 1)\n"
       "  --scale=F     input scale for the canonical workloads (default 0.1)\n"
-      "  --jobs=N      threads for the parallel-grid workload (default 2)\n"
-      "  --sim-threads=N  partitions for the PDES workload (default 4)\n");
+      "  --jobs=N      threads for the parallel-grid workload (default 2)\n");
   std::exit(code);
 }
 
@@ -246,9 +244,6 @@ int main(int argc, char** argv) {
       opt.scale = std::atof(val("--scale=").c_str());
     } else if (a.rfind("--jobs=", 0) == 0) {
       opt.jobs = static_cast<unsigned>(std::atoi(val("--jobs=").c_str()));
-    } else if (a.rfind("--sim-threads=", 0) == 0) {
-      opt.sim_threads =
-          static_cast<unsigned>(std::atoi(val("--sim-threads=").c_str()));
     } else if (a == "--help" || a == "-h") {
       usage(0);
     } else {
@@ -256,11 +251,8 @@ int main(int argc, char** argv) {
       usage(2);
     }
   }
-  if (opt.trials == 0 || opt.scale <= 0.0 || opt.scale > 1.0 || opt.jobs == 0 ||
-      opt.sim_threads == 0) {
-    std::fprintf(stderr,
-                 "perf_suite: need --trials>0, --jobs>0, --sim-threads>0, "
-                 "--scale in (0,1]\n");
+  if (opt.trials == 0 || opt.scale <= 0.0 || opt.scale > 1.0 || opt.jobs == 0) {
+    std::fprintf(stderr, "perf_suite: need --trials>0, --jobs>0, --scale in (0,1]\n");
     return 2;
   }
   if (opt.out.empty()) opt.out = "BENCH_" + opt.tag + ".json";
@@ -330,9 +322,8 @@ int main(int argc, char** argv) {
           }).result);
     }
 
-    // 4) PDES: the 64-node canonical workload, serial vs partitioned. Both
-    // simulate identical work (results are byte-identical by construction);
-    // the wall-clock delta is pure engine cost of conservative windows.
+    // 4) The 64-node canonical workload: the machine model at 8x the
+    // nodes of the per-system runs.
     {
       machine::MachineConfig cfg = pinnedConfig(machine::SystemKind::kNWCache);
       cfg.num_nodes = 64;
@@ -340,12 +331,6 @@ int main(int argc, char** argv) {
       workloads.push_back(measure("radix64/serial", opt, [&] {
                             return apps::runApp(cfg, "radix", opt.scale);
                           }).result);
-      apps::ObsSinks sinks;
-      sinks.sim_threads = static_cast<int>(opt.sim_threads);
-      workloads.push_back(
-          measure("radix64/simt" + std::to_string(opt.sim_threads), opt, [&] {
-            return apps::runApp(cfg, "radix", opt.scale, sinks);
-          }).result);
     }
 
     // 5) Block-trace front end: synthetic generation (inside the runner's

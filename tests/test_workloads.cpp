@@ -236,10 +236,8 @@ TEST(BlockTraceFormat, RejectsCorruptFiles) {
 
 // --- end-to-end serving ---------------------------------------------------
 
-std::string runSpec(const machine::MachineConfig& cfg, const std::string& spec,
-                    int sim_threads = 1) {
+std::string runSpec(const machine::MachineConfig& cfg, const std::string& spec) {
   ObsSinks sinks;
-  sinks.sim_threads = sim_threads;
   auto src = makeWorkload(spec, 1.0);
   const RunSummary s = runWorkload(cfg, *src, sinks);
   EXPECT_TRUE(s.verified) << spec << " on " << cfg.describe();
@@ -255,12 +253,10 @@ TEST(BlockServe, RunsVerifiedOnAllSystems) {
   }
 }
 
-TEST(BlockServe, DeterministicAcrossSimThreads) {
+TEST(BlockServe, DeterministicAcrossRepeatRuns) {
   const std::string spec = "synth:clients=4;objects=512;ops=200;seed=7";
   const auto cfg = smallConfig(machine::SystemKind::kNWCache);
-  const std::string serial = runSpec(cfg, spec);
-  EXPECT_EQ(runSpec(cfg, spec, 4), serial);
-  EXPECT_EQ(runSpec(cfg, spec), serial);  // and across repeat runs
+  EXPECT_EQ(runSpec(cfg, spec), runSpec(cfg, spec));
 }
 
 TEST(BlockServe, FileServeMatchesLiveGeneration) {

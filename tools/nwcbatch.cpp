@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   std::string ini_path;
   std::string meta_dir;
   long jobs = -1;       // -1 = use the INI's jobs key (default auto)
-  long sim_threads = -1;  // -1 = use the INI's sim_threads key (default 1)
   long heartbeat = -1;  // -1 = use the INI's heartbeat_secs key
   bool resume = false;
   std::string trace_dir;
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
   std::string sample_dir;
   std::string status_path;
   const char* usage =
-      "usage: nwcbatch [--jobs=N] [--sim-threads=N] [--meta-dir=DIR] [--heartbeat=SECS] "
+      "usage: nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] "
       "[--resume] [--trace-dir=DIR] [--trace-mode=MODE] "
       "[--sample-interval=N] [--sample-dir=DIR] [--status=FILE] "
       "[--profile=FILE] <experiments.ini>\n";
@@ -61,12 +60,6 @@ int main(int argc, char** argv) {
       jobs = std::strtol(a.c_str() + 7, nullptr, 10);
       if (jobs < 0) {
         std::fprintf(stderr, "nwcbatch: --jobs must be >= 0\n");
-        return 2;
-      }
-    } else if (a.rfind("--sim-threads=", 0) == 0) {
-      sim_threads = std::strtol(a.c_str() + 14, nullptr, 10);
-      if (sim_threads < 1) {
-        std::fprintf(stderr, "nwcbatch: --sim-threads must be >= 1\n");
         return 2;
       }
     } else if (a.rfind("--meta-dir=", 0) == 0) {
@@ -99,9 +92,6 @@ int main(int argc, char** argv) {
       std::printf("%s"
                   "  --jobs=N          worker threads (0 = all cores, 1 = serial;\n"
                   "                    overrides the INI's batch.jobs key)\n"
-                  "  --sim-threads=N   engine partitions per run (conservative\n"
-                  "                    PDES; results are byte-identical at any\n"
-                  "                    value; overrides batch.sim_threads)\n"
                   "  --meta-dir=DIR    write one run_meta.json per grid cell\n"
                   "  --heartbeat=SECS  parallel status cadence on stderr (0 = off)\n"
                   "  --resume          skip grid cells already checkpointed in the\n"
@@ -119,6 +109,9 @@ int main(int argc, char** argv) {
                   "                    at exit; grid results are unchanged\n",
                   usage);
       return 0;
+    } else if (a.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "nwcbatch: unknown flag %s\n%s", a.c_str(), usage);
+      return 2;
     } else if (ini_path.empty()) {
       ini_path = a;
     } else {
@@ -133,7 +126,6 @@ int main(int argc, char** argv) {
   try {
     auto spec = apps::BatchSpec::fromIni(util::IniFile::load(ini_path));
     if (jobs >= 0) spec.jobs = static_cast<unsigned>(jobs);
-    if (sim_threads >= 1) spec.sim_threads = static_cast<int>(sim_threads);
     if (!meta_dir.empty()) spec.meta_dir = meta_dir;
     if (heartbeat >= 0) spec.heartbeat_secs = static_cast<unsigned>(heartbeat);
     if (resume) spec.resume = true;

@@ -62,11 +62,6 @@ namespace {
       "                        sibling .csv; single app\n"
       "  --sample-interval=N   pcycles between samples (default 50000)\n"
       "  --jobs=N              threads for multi-app runs (0 = all cores)\n"
-      "  --sim-threads=N       partition each simulation into N logical\n"
-      "                        processes (conservative PDES; clamped to the\n"
-      "                        node count). Simulated results are\n"
-      "                        byte-identical for any value; window stats go\n"
-      "                        to stderr and the --profile= report\n"
       "  --trace-dir=DIR       kernel trace cache: replay hits, record misses\n"
       "  --record              with --trace-dir: always execute + (re)write\n"
       "  --replay              with --trace-dir: strict replay, never fall back\n"
@@ -107,7 +102,6 @@ int main(int argc, char** argv) {
   std::string app;
   double scale = 1.0;
   unsigned jobs = 0;
-  int sim_threads = 1;
   std::string trace_path;
   std::size_t trace_cap = 0;
   std::string metrics_path;
@@ -183,12 +177,6 @@ int main(int argc, char** argv) {
               std::strtoull(val("--sample-interval=").c_str(), nullptr, 10));
         } else if (a.rfind("--jobs=", 0) == 0) {
           jobs = static_cast<unsigned>(std::strtoul(val("--jobs=").c_str(), nullptr, 10));
-        } else if (a.rfind("--sim-threads=", 0) == 0) {
-          sim_threads = std::atoi(val("--sim-threads=").c_str());
-          if (sim_threads < 1) {
-            std::fprintf(stderr, "nwcsim: --sim-threads must be >= 1\n");
-            return 2;
-          }
         } else if (a.rfind("--trace-dir=", 0) == 0) {
           tcfg.dir = val("--trace-dir=");
         } else if (a == "--record") {
@@ -268,20 +256,6 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    // PDES window accounting goes to stderr so stdout (table or JSON) stays
-    // byte-identical to a serial run.
-    auto printPdes = [&](const apps::RunSummary& s) {
-      if (s.sim_partitions <= 1) return;
-      std::fprintf(stderr,
-                   "[pdes] %s: partitions=%d lookahead=%llu windows=%llu "
-                   "mailbox_posts=%llu imbalance=%.2f\n",
-                   s.app.c_str(), s.sim_partitions,
-                   static_cast<unsigned long long>(s.pdes.lookahead),
-                   static_cast<unsigned long long>(s.pdes.windows),
-                   static_cast<unsigned long long>(s.pdes.mailbox_posts),
-                   s.pdes.imbalance());
-    };
-
     auto printSummary = [&](const apps::RunSummary& s) {
       const auto& m = s.metrics;
       if (as_json) {
@@ -329,7 +303,6 @@ int main(int argc, char** argv) {
       sinks.timeline = timeline_path.empty() ? nullptr : &timeline;
       sinks.registry = metrics_path.empty() ? nullptr : &registry;
       sinks.sampler = sample_path.empty() ? nullptr : &sampler;
-      sinks.sim_threads = sim_threads;
       apps::TraceCacheResult tres;
       const apps::RunSummary s =
           apps::runAppCached(cfg, app_names[0], scale, tcfg, sinks, &tres);
@@ -372,7 +345,6 @@ int main(int argc, char** argv) {
           sampler.writeCsv(csv_path);
         }
       }
-      printPdes(s);
       printSummary(s);
       if (!as_json && !trace_path.empty()) {
         std::printf("trace written to %s (%zu events, %llu dropped)\n",
@@ -421,7 +393,6 @@ int main(int argc, char** argv) {
       thread_local machine::MachineArena arena;
       apps::ObsSinks sinks;
       sinks.arena = &arena;
-      sinks.sim_threads = sim_threads;
       apps::RunSummary s = apps::runAppCached(cfg, app_names[i], scale, tcfg, sinks);
       meter.completed(app_names[i], s.ok());
       summaries[i] = std::move(s);
@@ -429,7 +400,6 @@ int main(int argc, char** argv) {
     bool all_ok = true;
     for (std::size_t i = 0; i < summaries.size(); ++i) {
       if (!as_json && i > 0) std::printf("\n");
-      printPdes(summaries[i]);
       printSummary(summaries[i]);
       all_ok = all_ok && summaries[i].ok();
     }
