@@ -306,11 +306,14 @@ BlockTrace generateBlockTrace(const SyntheticSpec& spec, double scale) {
         op.write = !rng.chance(spec.read_ratio);
       }
       // Open-loop think time, modulated by the diurnal load curve: higher
-      // load(t) compresses gaps (more requests per tick).
+      // load(t) compresses gaps (more requests per tick). A flat curve
+      // skips the sin(): 1.0 + 0.0 * sin(x) is exactly 1.0 for finite x.
       const double load =
-          1.0 + spec.diurnal_amp *
-                    std::sin(two_pi * static_cast<double>(clock) /
-                             static_cast<double>(spec.diurnal_period));
+          spec.diurnal_amp == 0.0
+              ? 1.0
+              : 1.0 + spec.diurnal_amp *
+                          std::sin(two_pi * static_cast<double>(clock) /
+                                   static_cast<double>(spec.diurnal_period));
       op.gap = static_cast<std::uint64_t>(rng.exponential(spec.think_mean) / load);
       clock += op.gap;
       ops.push_back(op);

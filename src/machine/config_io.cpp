@@ -165,6 +165,14 @@ int applyIni(const util::IniFile& ini, MachineConfig& cfg) {
   return applied;
 }
 
+int applyMachineFile(const util::IniFile& ini, MachineConfig& cfg) {
+  for (const auto& [key, value] : ini.values()) {
+    (void)value;
+    if (key.rfind("machine.", 0) != 0) throw std::runtime_error("unknown INI key: " + key);
+  }
+  return applyIni(ini, cfg);
+}
+
 util::IniFile toIni(const MachineConfig& cfg) {
   util::IniFile ini;
   for (const auto& [name, field] : fieldTable()) {

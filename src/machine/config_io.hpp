@@ -14,6 +14,11 @@ namespace nwc::machine {
 /// other sections are ignored. Returns the number of keys applied.
 int applyIni(const util::IniFile& ini, MachineConfig& cfg);
 
+/// applyIni for a machine file (nwcsim --config=): every key must sit
+/// under [machine], so a misspelt section header throws "unknown INI key:
+/// S.K" instead of silently leaving the defaults in place.
+int applyMachineFile(const util::IniFile& ini, MachineConfig& cfg);
+
 /// Serializes `cfg` as an INI [machine] section (round-trips via applyIni).
 util::IniFile toIni(const MachineConfig& cfg);
 

@@ -1,12 +1,14 @@
 // Coroutine synchronization primitives: mutex, barrier.
 //
 // All wake-ups are scheduled at the current tick through the engine
-// calendar, so wake order is FIFO and deterministic.
+// calendar, so wake order is FIFO and deterministic. Waiter queues are
+// plain vectors, so an uncontended primitive holds no heap memory (every
+// page-table entry embeds a CoMutex).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/types.hpp"
@@ -27,9 +29,7 @@ class CoMutex {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      m.waiters_.push_back(h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { m.enqueue(h); }
     void await_resume() const {}
   };
 
@@ -46,7 +46,7 @@ class CoMutex {
   void unlock();
 
   bool locked() const { return locked_; }
-  std::size_t waiterCount() const { return waiters_.size(); }
+  std::size_t waiterCount() const { return waiters_.size() - head_; }
 
   /// RAII guard: `auto g = co_await mtx.scoped();`
   class [[nodiscard]] Guard {
@@ -89,12 +89,19 @@ class CoMutex {
     eng_ = &eng;
     locked_ = false;
     waiters_.clear();
+    head_ = 0;
   }
 
  private:
   friend struct LockAwaiter;
+  void enqueue(std::coroutine_handle<> h);
+
   Engine* eng_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  // FIFO queue: waiters_[head_..] are waiting, oldest first. unlock()
+  // clears the vector once it drains; enqueue() drops a consumed prefix
+  // that has grown to half the vector.
+  std::vector<std::coroutine_handle<>> waiters_;
+  std::uint32_t head_ = 0;
   bool locked_ = false;
 };
 
@@ -134,7 +141,7 @@ class CoBarrier {
   int parties_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nwc::sim

@@ -6,7 +6,6 @@
 // `sim::Rng` delegates here; workload generators use these types directly.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -96,30 +95,54 @@ class Xoshiro256ss {
 /// proportional to 1 / (r+1)^theta. theta = 0 is uniform; theta around
 /// 0.9-1.0 matches the skew reported for storage object popularity.
 ///
-/// The normalized CDF is precomputed once (O(n)); each sample is a binary
-/// search (O(log n)). Deterministic: sample(u) is a pure function of u.
+/// The normalized CDF and a guide table (Chen & Asau's index table,
+/// guide[k] = upper_bound(cdf, k/n)) are precomputed once in O(n). A
+/// sample starts at guide[floor(u*n)] and walks to the exact
+/// upper_bound(cdf, u), so a draw costs O(1) expected steps and returns
+/// the same rank as a binary search for every u, whatever the rounding
+/// of u*n. Deterministic: sample(u) is a pure function of u.
 class ZipfianSampler {
  public:
-  ZipfianSampler(std::size_t n, double theta) : cdf_(n) {
+  ZipfianSampler(std::size_t n, double theta) : cdf_(n), guide_(n + 1) {
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
       cdf_[i] = sum;
     }
     for (std::size_t i = 0; i < n; ++i) cdf_[i] /= sum;
+    std::size_t i = 0;
+    for (std::size_t k = 0; k <= n; ++k) {
+      const double t = static_cast<double>(k) / static_cast<double>(n);
+      while (i < n && cdf_[i] <= t) ++i;
+      guide_[k] = i;
+    }
   }
 
   std::size_t size() const { return cdf_.size(); }
 
-  /// Maps u in [0, 1) to a rank in [0, size()).
+  /// The normalized, non-decreasing CDF: cdf()[r] = P(rank <= r).
+  const std::vector<double>& cdf() const { return cdf_; }
+
+  /// Maps u in [0, 1) to a rank in [0, size()): the rank a binary search
+  /// (std::upper_bound over cdf()) returns, clamped to the last rank.
   std::size_t sample(double u) const {
-    const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end()) return cdf_.size() - 1;
-    return static_cast<std::size_t>(it - cdf_.begin());
+    const std::size_t n = cdf_.size();
+    const double x = u * static_cast<double>(n);
+    std::size_t k = 0;  // also for negative or NaN u
+    if (x >= static_cast<double>(n)) {
+      k = n;
+    } else if (x > 0.0) {
+      k = static_cast<std::size_t>(x);
+    }
+    std::size_t i = guide_[k];
+    while (i > 0 && cdf_[i - 1] > u) --i;
+    while (i < n && cdf_[i] <= u) ++i;
+    return i == n ? n - 1 : i;
   }
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;  // n+1 start ranks, one per 1/n of [0, 1]
 };
 
 }  // namespace nwc::util

@@ -116,6 +116,27 @@ TEST(ConfigIo, NonMachineSectionsIgnored) {
   EXPECT_EQ(machine::applyIni(ini, cfg), 0);
 }
 
+TEST(ConfigIo, MachineFileRejectsKeysOutsideMachine) {
+  // A misspelt section header must fail, not silently run the defaults.
+  machine::MachineConfig cfg;
+  const auto typo = util::IniFile::parse("[machin]\nnodes = 4\n");
+  try {
+    machine::applyMachineFile(typo, cfg);
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_STREQ(ex.what(), "unknown INI key: machin.nodes");
+  }
+  EXPECT_THROW(machine::applyMachineFile(util::IniFile::parse("nodes = 4\n"), cfg),
+               std::runtime_error);
+  EXPECT_EQ(cfg.num_nodes, machine::MachineConfig{}.num_nodes);
+  // [machine] keys go through applyIni, typo guard included.
+  EXPECT_EQ(machine::applyMachineFile(util::IniFile::parse("[machine]\nnodes = 4\n"), cfg),
+            1);
+  EXPECT_EQ(cfg.num_nodes, 4);
+  EXPECT_THROW(machine::applyMachineFile(util::IniFile::parse("[machine]\nnodez = 4\n"), cfg),
+               std::runtime_error);
+}
+
 TEST(ConfigIo, RoundTripPreservesEveryField) {
   machine::MachineConfig a;
   a.withSystem(machine::SystemKind::kDCD, machine::Prefetch::kNaive);

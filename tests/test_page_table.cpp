@@ -1,6 +1,9 @@
 // PageTable: entry states, change signals, per-entry mutual exclusion.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "obs/profiler.hpp"
 #include "sim/engine.hpp"
 #include "vm/page_table.hpp"
 
@@ -92,6 +95,51 @@ TEST(PageTable, EntryMutexSerializes) {
   EXPECT_EQ(order[0], 0);
   EXPECT_EQ(order[1], 1);
   EXPECT_EQ(e.now(), 110u);
+}
+
+TEST(PageTable, AddingPagesAllocatesO1) {
+  // One entry-vector allocation however many pages: an entry's mutex and
+  // change signal hold no heap memory until a waiter queues.
+  sim::Engine e;
+  PageTable pt(e, 0);
+  (void)obs::prof::threadAllocCount();
+  const std::uint64_t before = obs::prof::threadAllocCount();
+  pt.addPages(e, 16384);
+  EXPECT_LE(obs::prof::threadAllocCount() - before, 2u);
+  EXPECT_EQ(pt.numPages(), 16384);
+  // Recycled entries are reset in place: no allocation at all.
+  pt.recycle();
+  sim::Engine next;
+  const std::uint64_t again = obs::prof::threadAllocCount();
+  pt.addPages(next, 16384);
+  EXPECT_EQ(obs::prof::threadAllocCount(), again);
+}
+
+TEST(PageTable, RecycledEntryMutexServesNewEngineAfterContention) {
+  PageTable* pt = nullptr;
+  std::vector<int> order;
+  auto contend = [&](sim::Engine& e, int base) {
+    auto t = [&](int id, sim::Tick arrive) -> sim::Task<> {
+      co_await e.delay(arrive);
+      auto g = co_await pt->entry(0).mutex.scoped();
+      co_await e.delay(10);
+      order.push_back(id);
+    };
+    for (int i = 0; i < 3; ++i) e.spawn(t(base + i, static_cast<sim::Tick>(i)));
+    e.run();
+  };
+  sim::Engine first;
+  PageTable table(first, 1);
+  pt = &table;
+  contend(first, 0);
+  table.recycle();
+  sim::Engine second;
+  table.addPages(second, 1);
+  EXPECT_FALSE(table.entry(0).mutex.locked());
+  EXPECT_EQ(table.entry(0).mutex.waiterCount(), 0u);
+  contend(second, 10);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12}));
+  EXPECT_EQ(second.now(), 30u);
 }
 
 TEST(PageTable, StateNames) {

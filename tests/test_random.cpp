@@ -1,10 +1,13 @@
-// Rng: determinism, stream independence, distribution sanity.
+// Rng: determinism, stream independence, distribution sanity; the
+// zipfian sampler's exactness against a binary search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "sim/random.hpp"
+#include "util/rand.hpp"
 
 namespace nwc::sim {
 namespace {
@@ -84,6 +87,40 @@ TEST(Rng, ChanceMatchesProbability) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += r.chance(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+// The rank a binary search over the CDF gives (the sampler's reference).
+std::size_t binarySearchRank(const util::ZipfianSampler& z, double u) {
+  const auto& cdf = z.cdf();
+  const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? cdf.size() - 1 : static_cast<std::size_t>(it - cdf.begin());
+}
+
+TEST(ZipfianSampler, GuideTableMatchesBinarySearchExactly) {
+  // n = 6 adds a rounding case: u = nextafter(5/6, 0) gives u*6 == 5.0, so
+  // the draw starts one bucket too high and must step back down.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{6},
+                              std::size_t{7}, std::size_t{16384}}) {
+    for (const double theta : {0.0, 0.5, 0.9, 0.99, 1.3}) {
+      const util::ZipfianSampler z(n, theta);
+      util::Xoshiro256ss rng(n * 1000 + static_cast<std::uint64_t>(theta * 100));
+      std::size_t mismatches = 0;
+      for (int i = 0; i < 1000000; ++i) {
+        const double u = rng.uniform();
+        mismatches += z.sample(u) != binarySearchRank(z, u) ? 1 : 0;
+      }
+      // The bucket edges: every CDF value and its two neighbours.
+      for (const double c : z.cdf()) {
+        for (const double u : {std::nextafter(c, -1.0), c, std::nextafter(c, 2.0)}) {
+          mismatches += z.sample(u) != binarySearchRank(z, u) ? 1 : 0;
+        }
+      }
+      for (const double u : {0.0, 1.0}) {
+        mismatches += z.sample(u) != binarySearchRank(z, u) ? 1 : 0;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " theta=" << theta;
+    }
+  }
 }
 
 TEST(Splitmix, KnownGoodProgression) {

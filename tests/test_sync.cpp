@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/trigger.hpp"
@@ -58,6 +59,99 @@ TEST(CoMutex, FifoHandOff) {
   EXPECT_EQ(order[1], 1);  // FIFO: 1 queued before 2
   EXPECT_EQ(order[2], 2);
   EXPECT_EQ(e.now(), 120u);
+}
+
+TEST(CoMutex, FifoAcrossDrainAndRefill) {
+  // Four waiters queue behind a holder and drain; a second wave of three
+  // then refills the (cleared) queue and must hand off in arrival order too.
+  Engine e;
+  CoMutex m(e);
+  std::vector<int> order;
+  auto t = [&](int id, Tick arrive) -> Task<> {
+    co_await e.delay(arrive);
+    co_await m.lock();
+    co_await e.delay(10);
+    order.push_back(id);
+    m.unlock();
+  };
+  for (int id = 0; id < 5; ++id) e.spawn(t(id, static_cast<Tick>(id)));
+  for (int id = 5; id < 8; ++id) e.spawn(t(id, 1000 + static_cast<Tick>(id)));
+  e.runUntil(5);
+  EXPECT_EQ(m.waiterCount(), 4u);
+  e.runUntil(60);
+  EXPECT_FALSE(m.locked());
+  EXPECT_EQ(m.waiterCount(), 0u);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(m.waiterCount(), 0u);
+}
+
+TEST(CoMutex, FifoWhileQueueNeverDrains) {
+  // Three waiters queue behind the first holder, then one more arrives per
+  // hold time: the queue stays three deep for the whole run, so the
+  // consumed prefix has to be reclaimed while waiters are still queued.
+  Engine e;
+  CoMutex m(e);
+  std::vector<int> order;
+  constexpr int kTasks = 64;
+  auto t = [&](int id) -> Task<> {
+    co_await e.delay(id < 4 ? static_cast<Tick>(id) : 15 + static_cast<Tick>(id - 4) * 10);
+    co_await m.lock();
+    co_await e.delay(10);
+    order.push_back(id);
+    m.unlock();
+  };
+  for (int id = 0; id < kTasks; ++id) e.spawn(t(id));
+  for (Tick at = 25; at < 600; at += 100) {
+    e.runUntil(at);
+    EXPECT_EQ(m.waiterCount(), 3u) << "at " << at;
+  }
+  e.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int id = 0; id < kTasks; ++id) EXPECT_EQ(order[static_cast<std::size_t>(id)], id);
+  EXPECT_EQ(m.waiterCount(), 0u);
+}
+
+TEST(CoMutex, RebindAfterContention) {
+  // A mutex that was contended on one engine and drained is re-targeted at
+  // a fresh engine (page-table pooling) and serves waiters there in order.
+  CoMutex* m = nullptr;
+  std::vector<int> order;
+  auto run = [&](Engine& e, int base) {
+    auto t = [&](int id, Tick arrive) -> Task<> {
+      co_await e.delay(arrive);
+      auto g = co_await m->scoped();
+      co_await e.delay(10);
+      order.push_back(id);
+    };
+    for (int i = 0; i < 3; ++i) e.spawn(t(base + i, static_cast<Tick>(i)));
+    e.run();
+  };
+  Engine first;
+  CoMutex mutex(first);
+  m = &mutex;
+  run(first, 0);
+  Engine second;
+  mutex.rebind(second);
+  EXPECT_FALSE(mutex.locked());
+  run(second, 10);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12}));
+  EXPECT_EQ(second.now(), 30u);
+  EXPECT_EQ(mutex.waiterCount(), 0u);
+}
+
+TEST(CoMutex, UncontendedUseAllocatesNothing) {
+  Engine e;
+  (void)obs::prof::threadAllocCount();
+  const std::uint64_t before = obs::prof::threadAllocCount();
+  {
+    CoMutex m(e);
+    EXPECT_TRUE(m.tryLock());
+    m.unlock();
+    CoMutex moved = std::move(m);
+    EXPECT_FALSE(moved.locked());
+  }
+  EXPECT_EQ(obs::prof::threadAllocCount(), before);
 }
 
 TEST(CoMutex, ScopedGuardReleasesOnScopeExit) {

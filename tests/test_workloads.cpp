@@ -165,6 +165,56 @@ TEST(BlockTraceGenerator, ZipfShapeMatchesTheta) {
   EXPECT_GT(skewed.est_zipf_theta, flat.est_zipf_theta);
 }
 
+// FNV-1a 64 over every op's (gap, obj, write) in client order.
+std::uint64_t traceDigest(const BlockTrace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(t.objects);
+  for (const auto& ops : t.clients) {
+    mix(ops.size());
+    for (const BlockOp& op : ops) {
+      mix(op.gap);
+      mix(op.obj);
+      mix(op.write ? 1 : 0);
+    }
+  }
+  return h;
+}
+
+TEST(BlockTraceGenerator, StoreBenchmarkTracesArePinned) {
+  // The two store specs of the repository benchmark. The digests were
+  // recorded with the binary-search sampler and the unconditional
+  // diurnal sin(); the guide-table sampler and the amp==0 shortcut must
+  // reproduce them exactly.
+  const char* kWrite =
+      "synth:clients=16;objects=16384;ops=20000;read_ratio=0.3;burst_prob=0.05;"
+      "burst_len=32;think_mean=4000000";
+  const char* kRead =
+      "synth:clients=16;objects=16384;ops=20000;read_ratio=0.95;burst_prob=0;"
+      "zipf_theta=0.99;think_mean=400000";
+  struct Case {
+    const char* spec;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {kWrite, 1, 0x16c8e70c656ff595ULL},
+      {kWrite, 7919, 0xde12dfbe843825eeULL},
+      {kRead, 1, 0xbc78ba3873d3813aULL},
+      {kRead, 7919, 0xe730ea73dd2744f4ULL},
+  };
+  for (const Case& c : cases) {
+    const std::string spec = std::string(c.spec) + ";seed=" + std::to_string(c.seed);
+    EXPECT_EQ(traceDigest(generateBlockTrace(SyntheticSpec::parse(spec))), c.digest)
+        << spec;
+  }
+}
+
 TEST(ZipfianSampler, CdfIsMonotoneAndHeadHeavy) {
   util::ZipfianSampler z(100, 1.0);
   EXPECT_EQ(z.size(), 100u);

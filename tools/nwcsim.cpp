@@ -45,7 +45,7 @@ namespace {
       "  --system=KIND         standard|nwcache|dcd|remote (default standard)\n"
       "  --prefetch=POLICY     optimal|naive (default optimal)\n"
       "  --minfree=N           override the min-free-frames reserve\n"
-      "  --config=FILE         load a [machine] INI section\n"
+      "  --config=FILE         load a [machine] INI file (other sections are errors)\n"
       "  --set K=V             override one machine key (repeatable)\n"
       "  --trace=FILE          dump the page-event trace as CSV (single app)\n"
       "  --trace-cap=N         keep only the newest N trace events (ring\n"
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
           cfg.min_free_frames = std::atoi(val("--minfree=").c_str());
           minfree_overridden = true;
         } else if (a.rfind("--config=", 0) == 0) {
-          machine::applyIni(util::IniFile::load(val("--config=")), cfg);
+          machine::applyMachineFile(util::IniFile::load(val("--config=")), cfg);
           minfree_overridden = true;  // the file's value wins
         } else if (a.rfind("--set", 0) == 0) {
           if (a == "--set" && i + 1 < argc) {
