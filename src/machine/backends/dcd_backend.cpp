@@ -60,16 +60,14 @@ bool DcdBackend::readFromStage(int disk_idx, sim::PageId page, sim::Tick t,
   return true;
 }
 
-sim::Task<> DcdBackend::writeBatch(int disk_idx,
-                                   const std::vector<sim::PageId>& batch,
-                                   obs::AttrCtx& actx) {
+IoBackend::BatchWrite DcdBackend::writeBatch(
+    int disk_idx, const std::vector<sim::PageId>& batch, obs::AttrCtx& actx) {
   // Admission gate (docs/POLICIES.md): the policy decides — keyed on the
   // batch's anchor page, the oldest dirty slot — whether this batch enters
   // the log at all. Rejected batches go straight to the data platters, as
   // on the standard machine. `always` (default) admits everything.
   if (!policy_->admit(batch.front())) {
-    co_await IoBackend::writeBatch(disk_idx, batch, actx);
-    co_return;
+    return IoBackend::writeBatch(disk_idx, batch, actx);
   }
   // Dirty slots append to the log disk sequentially (no seek); the destage
   // daemon copies them to the data disk later.
@@ -79,10 +77,18 @@ sim::Task<> DcdBackend::writeBatch(int disk_idx,
   const sim::Tick t = lg.arm().request(now, svc);
   actx.add(obs::AttrStage::kDiskQueue, t - svc - now, 0);
   actx.add(obs::AttrStage::kDestage, 0, svc);
-  co_await eng().waitUntil(t);
-  lg.recordAppend(batch);
+  return BatchWrite{t, svc, true};
+}
+
+void DcdBackend::finishBatch(int disk_idx, const std::vector<sim::PageId>& batch,
+                             const BatchWrite& w) {
+  if (!w.logged) {
+    IoBackend::finishBatch(disk_idx, batch, w);
+    return;
+  }
+  log(disk_idx).recordAppend(batch);
   if (etl() != nullptr && etl()->enabled(obs::Layer::kDisk)) {
-    etl()->span(obs::Layer::kDisk, "disk.log_append", t - svc, svc,
+    etl()->span(obs::Layer::kDisk, "disk.log_append", w.done - w.svc, w.svc,
                 diskCtx(disk_idx).node, batch.front());
   }
 }

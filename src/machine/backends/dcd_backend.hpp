@@ -21,8 +21,10 @@ class DcdBackend : public DiskBackend {
                         obs::AttrCtx& actx) override;
   bool readFromStage(int disk_idx, sim::PageId page, sim::Tick t,
                      sim::Tick* done, obs::AttrCtx& actx) override;
-  sim::Task<> writeBatch(int disk_idx, const std::vector<sim::PageId>& batch,
-                         obs::AttrCtx& actx) override;
+  BatchWrite writeBatch(int disk_idx, const std::vector<sim::PageId>& batch,
+                        obs::AttrCtx& actx) override;
+  void finishBatch(int disk_idx, const std::vector<sim::PageId>& batch,
+                   const BatchWrite& w) override;
   void startDiskDaemons(int disk_idx) override;
   void publishMetrics(obs::MetricsRegistry& reg) const override;
   io::LogDisk* logDisk(int disk_idx) override {

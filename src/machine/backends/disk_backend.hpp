@@ -12,10 +12,12 @@ class DiskBackend : public IoBackend {
  public:
   explicit DiskBackend(Machine& m) : IoBackend(m) {}
 
-  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
-                      obs::AttrCtx& actx) override {
+  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk) override {
     (void)force_disk;  // disk is already the terminal destination
-    return swapOutToDisk(n, page, actx);
+    const sim::Tick t0 = eng().now();
+    obs::AttrCtx actx;
+    co_await swapOutToDisk(n, page, actx);
+    finishSwapOut(n, page, t0, actx);
   }
 
   sim::Task<bool> fetch(int cpu, sim::PageId page, const FetchPlan& plan,

@@ -155,9 +155,8 @@ sim::Task<bool> IoBackend::fetchFromDisk(int cpu, sim::PageId page,
   co_return hit;
 }
 
-sim::Task<> IoBackend::writeBatch(int disk_idx,
-                                  const std::vector<sim::PageId>& batch,
-                                  obs::AttrCtx& actx) {
+IoBackend::BatchWrite IoBackend::writeBatch(
+    int disk_idx, const std::vector<sim::PageId>& batch, obs::AttrCtx& actx) {
   Machine::DiskCtx& dc = diskCtx(disk_idx);
   // One physical write for the whole run of consecutive pages.
   const sim::Tick now = eng().now();
@@ -166,11 +165,15 @@ sim::Task<> IoBackend::writeBatch(int disk_idx,
   const sim::Tick t = dc.disk.arm().request(now, svc);
   actx.add(obs::AttrStage::kDiskQueue, t - svc - now, 0);
   actx.add(obs::AttrStage::kDestage, 0, svc);
-  co_await eng().waitUntil(t);
+  return BatchWrite{t, svc, false};
+}
+
+void IoBackend::finishBatch(int disk_idx, const std::vector<sim::PageId>& batch,
+                            const BatchWrite& w) {
   if (etl() != nullptr && etl()->enabled(obs::Layer::kDisk)) {
     // The span covers the arm's service period, not our queueing wait.
-    etl()->span(obs::Layer::kDisk, "disk.write", t - svc, svc, dc.node,
-                batch.front());
+    etl()->span(obs::Layer::kDisk, "disk.write", w.done - w.svc, w.svc,
+                diskCtx(disk_idx).node, batch.front());
   }
 }
 

@@ -47,12 +47,13 @@ class IoBackend {
   virtual const char* swapSpanName() const { return "swap.disk"; }
 
   // --- swap-out route -------------------------------------------------------
-  /// The variant-specific write-out path for a dirty victim. Runs inside
-  /// Machine::swapOutPage, which owns the generic bookkeeping (frame
-  /// release, metrics, trace). Must leave the entry in a settled state.
-  /// `force_disk` bypasses any non-disk staging (remote guest evictions).
-  virtual sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
-                              obs::AttrCtx& actx) = 0;
+  /// The write-out of a dirty victim, spawned as its own process by the
+  /// replacement daemon. The coroutine owns the swap-out's AttrCtx, must
+  /// leave the entry in a settled state, and ends with finishSwapOut (the
+  /// generic frame release, metrics and trace). `force_disk` bypasses any
+  /// non-disk staging (remote guest evictions).
+  virtual sim::Task<> swapOut(sim::NodeId n, sim::PageId page,
+                              bool force_disk) = 0;
 
   /// Replacement-daemon hook: lets the backend reclaim its own staged state
   /// ahead of the node's working set (remote-memory guest eviction).
@@ -103,13 +104,27 @@ class IoBackend {
     return false;
   }
 
-  /// Writes one combined batch of dirty controller-cache slots to stable
-  /// storage (platters by default; the DCD appends to its log disk).
-  /// Charges `actx` with the arm wait (kDiskQueue) and the destage service
-  /// (kDestage) so the caller can record the kDestage attribution op.
-  virtual sim::Task<> writeBatch(int disk_idx,
-                                 const std::vector<sim::PageId>& batch,
-                                 obs::AttrCtx& actx);
+  /// One physical write of a combined batch, as started by writeBatch.
+  struct BatchWrite {
+    sim::Tick done = 0;   // completion time
+    sim::Tick svc = 0;    // arm service time, ending at `done`
+    bool logged = false;  // appended to the DCD log, not the data platters
+  };
+
+  /// Starts the write of one combined batch of dirty controller-cache slots
+  /// to stable storage (platters by default; the DCD appends to its log
+  /// disk) and returns its timing; the caller waits until `done`, then calls
+  /// finishBatch. Charges `actx` with the arm wait (kDiskQueue) and the
+  /// destage service (kDestage) so the caller can record the kDestage
+  /// attribution op.
+  virtual BatchWrite writeBatch(int disk_idx,
+                                const std::vector<sim::PageId>& batch,
+                                obs::AttrCtx& actx);
+
+  /// The post-write step of `w`, run at `w.done`: the disk span and, for a
+  /// logged batch, the log's record of the appended pages.
+  virtual void finishBatch(int disk_idx, const std::vector<sim::PageId>& batch,
+                           const BatchWrite& w);
 
   /// The admission policy of the staging backends (ring channels, DCD
   /// log); null for backends with no write cache to gate.
@@ -210,10 +225,10 @@ class IoBackend {
                      sim::NodeId node) {
     m_.recordDestage(actx, end_to_end, batch_pages, page, node);
   }
-  /// The generic swap-out wrapper (for backends that spawn their own
-  /// write-outs, e.g. remote guest eviction).
-  sim::Task<> machineSwapOut(sim::NodeId n, sim::PageId page, bool force_disk) {
-    return m_.swapOutPage(n, page, force_disk);
+  /// The generic end of every swapOut process started at `t0`.
+  void finishSwapOut(sim::NodeId n, sim::PageId page, sim::Tick t0,
+                     const obs::AttrCtx& actx) {
+    m_.finishSwapOut(n, page, t0, actx);
   }
 
   // Shared datapaths every variant may fall back to.

@@ -24,7 +24,9 @@ sim::NodeId RemoteBackend::findSpareDonor(sim::NodeId self) const {
 }
 
 sim::Task<> RemoteBackend::swapOut(sim::NodeId n, sim::PageId page,
-                                   bool force_disk, obs::AttrCtx& actx) {
+                                   bool force_disk) {
+  const sim::Tick t0 = eng().now();
+  obs::AttrCtx actx;
   const sim::NodeId donor = force_disk ? sim::kNoNode : findSpareDonor(n);
   if (donor == sim::kNoNode) {
     // The paper's expected case on an out-of-core multiprocessor: every
@@ -33,6 +35,7 @@ sim::Task<> RemoteBackend::swapOut(sim::NodeId n, sim::PageId page,
     // never donor-to-donor.)
     if (!force_disk) ++metrics().remote_fallbacks;
     co_await swapOutToDisk(n, page, actx);
+    finishSwapOut(n, page, t0, actx);
     co_return;
   }
   actx.setOutcome(obs::AttrOutcome::kRemote);
@@ -58,6 +61,7 @@ sim::Task<> RemoteBackend::swapOut(sim::NodeId n, sim::PageId page,
   ++metrics().remote_stores;
   // e.dirty stays true: the modifications never reached the disk.
   dn.replace_kick.notifyAll();  // the donor may now be below its reserve
+  finishSwapOut(n, page, t0, actx);
 }
 
 bool RemoteBackend::takeGuestVictim(sim::NodeId n) {
@@ -73,7 +77,7 @@ bool RemoteBackend::takeGuestVictim(sim::NodeId n) {
   pt().setState(guest, PageState::kSwapping);
   ++metrics().remote_evictions;
   ++node(n).swaps_in_flight;
-  eng().spawn(machineSwapOut(n, guest, /*force_disk=*/true));
+  eng().spawn(swapOut(n, guest, /*force_disk=*/true));
   sampleTimeline();
   return true;
 }
@@ -91,15 +95,14 @@ FetchPlan RemoteBackend::planFetch(sim::PageId page, const vm::PageEntry& e) {
 sim::Task<bool> RemoteBackend::fetch(int cpu, sim::PageId page,
                                      const FetchPlan& plan, obs::AttrCtx& actx) {
   if (plan.route == FetchPlan::Route::kRemote) {
-    co_await fetchFromRemote(cpu, page, plan.remote_holder, actx);
-    co_return false;
+    return fetchFromRemote(cpu, page, plan.remote_holder, actx);
   }
-  co_return co_await fetchFromDisk(cpu, page, actx);
+  return fetchFromDisk(cpu, page, actx);
 }
 
-sim::Task<> RemoteBackend::fetchFromRemote(int cpu, sim::PageId page,
-                                           sim::NodeId holder,
-                                           obs::AttrCtx& actx) {
+sim::Task<bool> RemoteBackend::fetchFromRemote(int cpu, sim::PageId page,
+                                               sim::NodeId holder,
+                                               obs::AttrCtx& actx) {
   // Pull the page straight out of the donor's memory — request message,
   // donor memory bus, page over the mesh, local memory bus. The donor's
   // frame frees on departure.
@@ -123,6 +126,7 @@ sim::Task<> RemoteBackend::fetchFromRemote(int cpu, sim::PageId page,
   dn.frames.releaseFrame();
   dn.frame_freed.notifyAll();
   ++metrics().remote_fetches;
+  co_return false;  // never a controller-cache hit
 }
 
 void RemoteBackend::checkInvariants(std::ostream& bad) const {

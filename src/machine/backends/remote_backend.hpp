@@ -16,8 +16,7 @@ class RemoteBackend : public IoBackend {
  public:
   explicit RemoteBackend(Machine& m);
 
-  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
-                      obs::AttrCtx& actx) override;
+  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk) override;
   bool takeGuestVictim(sim::NodeId n) override;
   bool fetchableState(vm::PageState s) const override {
     return s == vm::PageState::kDisk || s == vm::PageState::kRemote;
@@ -36,8 +35,9 @@ class RemoteBackend : public IoBackend {
   /// Node with spare frames beyond its reserve (excluding `self`); kNoNode
   /// when every node is fully committed — the paper's expected situation.
   sim::NodeId findSpareDonor(sim::NodeId self) const;
-  sim::Task<> fetchFromRemote(int cpu, sim::PageId page, sim::NodeId holder,
-                              obs::AttrCtx& actx);
+  /// Pull from the donor's memory; returns false (no controller-cache hit).
+  sim::Task<bool> fetchFromRemote(int cpu, sim::PageId page, sim::NodeId holder,
+                                  obs::AttrCtx& actx);
 
   std::vector<std::deque<sim::PageId>> remote_stored_;  // guests per node
 };

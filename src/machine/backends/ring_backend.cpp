@@ -70,14 +70,17 @@ int RingBackend::pickChannel(sim::NodeId n) {
   return ownedChannel(n, cur);
 }
 
-sim::Task<> RingBackend::swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
-                                 obs::AttrCtx& actx) {
+sim::Task<> RingBackend::swapOut(sim::NodeId n, sim::PageId page,
+                                 bool force_disk) {
   (void)force_disk;  // the ring has no guest evictions that could force this
+  const sim::Tick t0 = eng().now();
+  obs::AttrCtx actx;
   // Admission gate (docs/POLICIES.md): a rejected swap-out takes the
   // standard NACK/OK path to the controller cache, exactly as on the
   // baseline machine. The default `always` policy admits everything.
   if (!policy_->admit(page)) {
     co_await swapOutToDisk(n, page, actx);
+    finishSwapOut(n, page, t0, actx);
     co_return;
   }
   vm::PageEntry& e = pt().entry(page);
@@ -112,6 +115,7 @@ sim::Task<> RingBackend::swapOut(sim::NodeId n, sim::PageId page, bool force_dis
   const int di = diskIndexOf(page);
   const std::uint64_t seq = ++swap_seq_;
   eng().spawn(deliverSwapRecord(di, ch, page, n, seq));
+  finishSwapOut(n, page, t0, actx);
 }
 
 sim::Task<> RingBackend::deliverSwapRecord(int disk_idx, int channel,
@@ -152,15 +156,14 @@ sim::Task<bool> RingBackend::fetch(int cpu, sim::PageId page,
   policy_->noteFault(page, plan.route == FetchPlan::Route::kRing);
   if (plan.route == FetchPlan::Route::kRing) {
     metrics().ring_read_hits.hit();
-    co_await fetchFromRing(cpu, page, actx);
-    co_return false;
+    return fetchFromRing(cpu, page, actx);
   }
   metrics().ring_read_hits.miss();
-  co_return co_await fetchFromDisk(cpu, page, actx);
+  return fetchFromDisk(cpu, page, actx);
 }
 
-sim::Task<> RingBackend::fetchFromRing(int cpu, sim::PageId page,
-                                       obs::AttrCtx& actx) {
+sim::Task<bool> RingBackend::fetchFromRing(int cpu, sim::PageId page,
+                                           obs::AttrCtx& actx) {
   vm::PageEntry& e = pt().entry(page);
   const int ch = e.ring_channel;
 
@@ -195,6 +198,7 @@ sim::Task<> RingBackend::fetchFromRing(int cpu, sim::PageId page,
   }
 
   co_await eng().waitUntil(t);
+  co_return false;  // never a controller-cache hit
 }
 
 sim::Task<> RingBackend::ringBackgroundRequest(int cpu, sim::PageId page) {

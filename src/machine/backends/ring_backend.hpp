@@ -28,8 +28,7 @@ class RingBackend : public IoBackend {
   TraceKind swapTraceKind() const override { return TraceKind::kSwapOutRing; }
   const char* swapSpanName() const override { return "swap.ring"; }
 
-  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
-                      obs::AttrCtx& actx) override;
+  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk) override;
   bool faultMustWait(vm::PageState s) const override {
     // In the victim-read ablation a staged page is unreachable until the
     // interface drains it; faults on it stall (charged NoFree).
@@ -79,7 +78,8 @@ class RingBackend : public IoBackend {
 
   sim::Task<> deliverSwapRecord(int disk_idx, int channel, sim::PageId page,
                                 sim::NodeId swapper, std::uint64_t seq);
-  sim::Task<> fetchFromRing(int cpu, sim::PageId page, obs::AttrCtx& actx);
+  /// Victim read off the ring; returns false (no controller-cache hit).
+  sim::Task<bool> fetchFromRing(int cpu, sim::PageId page, obs::AttrCtx& actx);
   sim::Task<> ringBackgroundRequest(int cpu, sim::PageId page);
   sim::Task<> nwcDrainLoop(int disk_idx);
   sim::Task<> deliverRingAck(int channel, sim::PageId page, sim::NodeId io_node,

@@ -62,7 +62,7 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
     pt_->setState(page, PageState::kTransit);
 
     const sim::Tick nofree_before = metrics_->cpu(cpu).nofree;
-    co_await ensureFreeFrame(cpu, cpu);
+    if (nc.frames.freeFrames() == 0) co_await ensureFreeFrame(cpu, cpu);
     const sim::Tick nofree_wait = metrics_->cpu(cpu).nofree - nofree_before;
     nc.frames.consumeFrame();     // residency registered once the data lands
     nc.replace_kick.notifyAll();  // allocation may have dipped below reserve

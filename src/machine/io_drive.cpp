@@ -20,7 +20,9 @@ sim::Task<> Machine::diskDrainLoop(int disk_idx) {
     }
     obs::AttrCtx actx;
     const sim::Tick t0 = eng_->now();
-    co_await backend_->writeBatch(disk_idx, batch, actx);
+    const IoBackend::BatchWrite w = backend_->writeBatch(disk_idx, batch, actx);
+    co_await eng_->waitUntil(w.done);
+    backend_->finishBatch(disk_idx, batch, w);
     recordDestage(actx, eng_->now() - t0, batch.size(), batch.front(), dc.node);
 
     dc.cache.completeWrite(batch);

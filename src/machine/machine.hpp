@@ -293,7 +293,10 @@ class Machine {
 
   // -- replacement & swap-out (swap.cpp) --------------------------------------
   sim::Task<> replacementDaemon(sim::NodeId n);
-  sim::Task<> swapOutPage(sim::NodeId n, sim::PageId page, bool force_disk = false);
+  /// Generic completion of a swap-out process started at `t0` (frame
+  /// release, metrics, attribution, trace); called by the backend's swapOut.
+  void finishSwapOut(sim::NodeId n, sim::PageId page, sim::Tick t0,
+                     const obs::AttrCtx& actx);
   void shootdown(sim::PageId page, sim::NodeId initiator);
   void dropPageFromCachesAndDirectory(sim::PageId page);
 

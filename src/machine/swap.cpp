@@ -107,17 +107,16 @@ sim::Task<> Machine::replacementDaemon(sim::NodeId n) {
       ++metrics_->swap_outs;
       ++nc.swaps_in_flight;
       pt_->setState(page, PageState::kSwapping);
-      eng_->spawn(swapOutPage(n, page));  // swap-outs overlap (bursty)
+      // Each swap-out is its own process, so a burst of them overlaps.
+      eng_->spawn(backend_->swapOut(n, page, /*force_disk=*/false));
       sampleTimeline();
     }
     co_await nc.replace_kick.wait();
   }
 }
 
-sim::Task<> Machine::swapOutPage(sim::NodeId n, sim::PageId page, bool force_disk) {
-  const sim::Tick t0 = eng_->now();
-  obs::AttrCtx actx;
-  co_await backend_->swapOut(n, page, force_disk, actx);
+void Machine::finishSwapOut(sim::NodeId n, sim::PageId page, sim::Tick t0,
+                            const obs::AttrCtx& actx) {
   NodeCtx& nc = *nodes_[static_cast<std::size_t>(n)];
   --nc.swaps_in_flight;
   nc.frames.releaseFrame();

@@ -55,28 +55,31 @@ TunableReceiverBank::Grant TunableReceiverBank::request(sim::Tick now, Use use,
   return g;
 }
 
-NwcFifos::NwcFifos(int channels) : fifos_(static_cast<std::size_t>(channels)) {}
+NwcFifos::NwcFifos(int channels)
+    : fifos_(static_cast<std::size_t>(channels)),
+      counts_(static_cast<std::size_t>(channels), 0) {}
 
 void NwcFifos::push(int channel, const SwapRecord& rec) {
   fifos_[static_cast<std::size_t>(channel)].push_back(rec);
+  ++counts_[static_cast<std::size_t>(channel)];
   ++pushes_;
 }
 
 int NwcFifos::size(int channel) const {
-  return static_cast<int>(fifos_[static_cast<std::size_t>(channel)].size());
+  return counts_[static_cast<std::size_t>(channel)];
 }
 
 int NwcFifos::totalSize() const {
   int n = 0;
-  for (const auto& q : fifos_) n += static_cast<int>(q.size());
+  for (const int c : counts_) n += c;
   return n;
 }
 
 int NwcFifos::heaviestChannel() const {
   int best = -1;
   int best_size = 0;
-  for (std::size_t c = 0; c < fifos_.size(); ++c) {
-    const int s = static_cast<int>(fifos_[c].size());
+  for (std::size_t c = 0; c < counts_.size(); ++c) {
+    const int s = counts_[c];
     if (s > best_size) {
       best_size = s;
       best = static_cast<int>(c);
@@ -96,15 +99,18 @@ std::optional<SwapRecord> NwcFifos::popFront(int channel) {
   if (q.empty()) return std::nullopt;
   SwapRecord r = q.front();
   q.pop_front();
+  --counts_[static_cast<std::size_t>(channel)];
   return r;
 }
 
 std::optional<SwapRecord> NwcFifos::removePage(sim::PageId page) {
-  for (auto& q : fifos_) {
+  for (std::size_t c = 0; c < fifos_.size(); ++c) {
+    auto& q = fifos_[c];
     for (auto it = q.begin(); it != q.end(); ++it) {
       if (it->page == page) {
         SwapRecord r = *it;
         q.erase(it);
+        --counts_[c];
         return r;
       }
     }

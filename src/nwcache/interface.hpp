@@ -121,6 +121,7 @@ class NwcFifos {
 
  private:
   std::vector<std::deque<SwapRecord>> fifos_;
+  std::vector<int> counts_;  // records queued per channel: fifos_[c].size()
   std::uint64_t pushes_ = 0;
 };
 

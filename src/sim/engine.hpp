@@ -3,8 +3,10 @@
 // The engine keeps a calendar of (tick, sequence, coroutine handle)
 // entries; equal-time events fire in schedule order, which makes every run
 // deterministic for a given seed. All simulated processes are coroutines
-// (`Task<>`); root processes are registered with `spawn()` and owned by the
-// engine.
+// (`Task<>`); root processes are registered with `spawn()`. A root frees its
+// own frame the moment it finishes; the engine destroys the roots still
+// suspended when it is destroyed. An exception escaping a root stops the
+// run and is rethrown from `run()` / `runUntil()`.
 //
 // The engine is serial: one CalendarQueue, one clock. The machine model's
 // line-grain directory coherence does same-tick remote work, which leaves a
@@ -14,6 +16,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <vector>
 
 #include "sim/calendar.hpp"
@@ -46,13 +49,16 @@ class Engine {
   void scheduleIn(Tick dt, std::coroutine_handle<> h) { scheduleAt(now_ + dt, h); }
 
   /// Registers a detached root process and schedules its start at `now()`.
+  /// The engine takes the frame over; it is freed when the root finishes.
   void spawn(Task<> task);
 
   /// Runs until the calendar drains or `stop()` is called.
-  /// Returns the final simulated time.
+  /// Returns the final simulated time. Rethrows the first exception that
+  /// escaped a root process (the run stops after that event).
   Tick run();
 
   /// Runs until simulated time reaches `t` (events at exactly `t` fire).
+  /// Rethrows like run().
   Tick runUntil(Tick t);
 
   /// Requests that `run()` return after the current event.
@@ -62,7 +68,7 @@ class Engine {
   std::uint64_t eventsProcessed() const { return events_processed_; }
 
   /// True if all spawned root processes have finished.
-  bool allSpawnedDone() const;
+  bool allSpawnedDone() const { return roots_.empty(); }
 
   /// Number of calendar entries currently pending.
   std::size_t pendingEvents() const { return cal_.size(); }
@@ -90,11 +96,15 @@ class Engine {
   DelayAwaiter waitUntil(Tick t) { return DelayAwaiter{*this, t}; }
 
  private:
-  Tick runLoop(Tick cap);  // pops events with t <= cap
-  void reapDone();         // free finished detached tasks
+  using RootHandle = std::coroutine_handle<detail::TaskPromise<void>>;
+  friend void detail::finishRoot(detail::PromiseBase& p,
+                                 std::coroutine_handle<> h) noexcept;
+
+  Tick runLoop(Tick cap);  // pops events with t <= cap; rethrows root errors
 
   CalendarQueue cal_;
-  std::vector<Task<>> spawned_;
+  std::vector<RootHandle> roots_;  // unfinished spawned roots (unordered)
+  std::exception_ptr root_error_;  // first exception escaping a root
   Tick now_ = 0;
   std::uint64_t seq_ = 0;  // schedule counter: equal ticks pop in this order
   std::uint64_t events_processed_ = 0;

@@ -4,6 +4,8 @@
 // It starts suspended; it is started either by `co_await`-ing it from
 // another task (symmetric transfer, the awaiter becomes the continuation)
 // or by `Engine::spawn`, which schedules it as a detached root process.
+// A root owns its own frame: it unregisters from the engine and frees the
+// frame when it finishes (see Engine::spawn).
 //
 // Single-shot: a task may be awaited at most once, and the Task object must
 // outlive the coroutine's execution (the usual `co_await fn(args)` pattern
@@ -12,6 +14,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <utility>
 
@@ -19,14 +22,24 @@
 
 namespace nwc::sim {
 
+class Engine;
+
 template <typename T>
 class Task;
 
 namespace detail {
 
+struct PromiseBase;
+
+/// Unregisters the finished root `p` from its engine and destroys the frame
+/// `h` (defined in engine.cpp).
+void finishRoot(PromiseBase& p, std::coroutine_handle<> h) noexcept;
+
 struct PromiseBase {
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
+  Engine* root_engine = nullptr;  // set by Engine::spawn: a detached root
+  std::uint32_t root_index = 0;   // this root's slot in the engine's roots
   bool finished = false;
 
   // Coroutine frames recycle through per-thread freelists (frame_alloc):
@@ -44,6 +57,7 @@ struct PromiseBase {
       PromiseBase& p = h.promise();
       p.finished = true;
       if (p.continuation) return p.continuation;
+      if (p.root_engine != nullptr) finishRoot(p, h);  // frees the frame
       return std::noop_coroutine();
     }
     void await_resume() const noexcept {}
@@ -93,7 +107,7 @@ class [[nodiscard]] Task {
   bool valid() const { return h_ != nullptr; }
   bool done() const { return !h_ || h_.promise().finished; }
 
-  /// Handle access for the engine (spawn / reap). Ownership stays here.
+  /// Handle access. Ownership stays here.
   handle_type handle() const { return h_; }
 
   /// Releases ownership of the coroutine frame to the caller.

@@ -138,7 +138,11 @@ TEST(Fifos, RemovePageFromAnyChannel) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->swapper, 1);
   EXPECT_EQ(f.size(1), 1);
+  EXPECT_EQ(f.totalSize(), 2);
+  EXPECT_EQ(f.heaviestChannel(), 0);  // 1-1 tie: lowest channel wins
   EXPECT_FALSE(f.removePage(3).has_value());  // already gone
+  EXPECT_FALSE(f.popFront(2).has_value());    // empty: counts stay put
+  EXPECT_EQ(f.totalSize(), 2);
 }
 
 TEST(Fifos, FrontPeeksWithoutRemoving) {
