@@ -15,7 +15,6 @@
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/run_meta.hpp"
-#include "util/host.hpp"
 #include "util/parallel.hpp"
 
 namespace nwc::bench {
@@ -61,11 +60,11 @@ apps::RunSummary simulate(const machine::MachineConfig& cfg, const std::string& 
   apps::ObsSinks sinks;
   sinks.arena = &arena;
   if (opt.metrics_dir.empty()) {
-    return apps::runAppCached(cfg, app, opt.scale, opt.trace, sinks);
+    return apps::runApp(cfg, app, opt.scale, sinks);
   }
   obs::MetricsRegistry reg;
   sinks.registry = &reg;
-  apps::RunSummary s = apps::runAppCached(cfg, app, opt.scale, opt.trace, sinks);
+  apps::RunSummary s = apps::runApp(cfg, app, opt.scale, sinks);
   char hash[20];
   std::snprintf(hash, sizeof(hash), "%08llx",
                 static_cast<unsigned long long>(
@@ -127,22 +126,13 @@ Options parseArgs(int argc, char** argv, const std::string& bench_name,
       opt.jobs = static_cast<unsigned>(std::strtoul(a.c_str() + 7, nullptr, 10));
     } else if (a.rfind("--metrics-dir=", 0) == 0) {
       opt.metrics_dir = a.substr(std::strlen("--metrics-dir="));
-    } else if (a.rfind("--trace-dir=", 0) == 0) {
-      opt.trace.dir = a.substr(std::strlen("--trace-dir="));
-    } else if (a == "--record") {
-      opt.trace.mode = apps::TraceMode::kRecord;
-    } else if (a == "--replay") {
-      opt.trace.mode = apps::TraceMode::kReplay;
-    } else if (a == "--no-trace") {
-      opt.trace.mode = apps::TraceMode::kOff;
     } else if (a.rfind("--profile=", 0) == 0) {
       opt.profile_path = a.substr(std::strlen("--profile="));
       obs::prof::enableWithReportAtExit(opt.profile_path);
     } else if (a == "--help" || a == "-h") {
       std::printf(
           "usage: %s [--scale=F] [--apps=a,b] [--csv=PATH] [--seed=N] [--jobs=N] "
-          "[--metrics-dir=DIR] [--trace-dir=DIR [--record|--replay|--no-trace]] "
-          "[--profile=FILE]\n",
+          "[--metrics-dir=DIR] [--profile=FILE]\n",
           bench_name.c_str());
       std::exit(0);
     } else {
@@ -155,17 +145,8 @@ Options parseArgs(int argc, char** argv, const std::string& bench_name,
     std::fprintf(stderr, "%s: --scale must be in (0, 1]\n", bench_name.c_str());
     std::exit(2);
   }
-  if (opt.trace.dir.empty() && (opt.trace.mode == apps::TraceMode::kRecord ||
-                                opt.trace.mode == apps::TraceMode::kReplay)) {
-    std::fprintf(stderr, "%s: --record/--replay require --trace-dir=DIR\n",
-                 bench_name.c_str());
-    std::exit(2);
-  }
   if (!opt.metrics_dir.empty()) {
     std::filesystem::create_directories(opt.metrics_dir);
-  }
-  if (!opt.trace.dir.empty()) {
-    std::filesystem::create_directories(opt.trace.dir);
   }
   return opt;
 }
@@ -247,21 +228,6 @@ void emit(const Options& opt, const util::AsciiTable& table,
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "csv write failed: %s\n", ex.what());
   }
-  printTraceCacheSummary(opt);
-}
-
-void printTraceCacheSummary(const Options& opt) {
-  if (!opt.trace.enabled()) return;
-  const auto& st = apps::traceCacheStats();
-  std::fprintf(stderr,
-               "trace cache: %llu replayed, %llu recorded, %llu executed, "
-               "%llu fallbacks (%s written, %s read)\n",
-               static_cast<unsigned long long>(st.replays.load()),
-               static_cast<unsigned long long>(st.records.load()),
-               static_cast<unsigned long long>(st.executes.load()),
-               static_cast<unsigned long long>(st.fallbacks.load()),
-               util::formatBytes(st.bytes_written.load()).c_str(),
-               util::formatBytes(st.bytes_read.load()).c_str());
 }
 
 std::string bar(double fraction, int width) {

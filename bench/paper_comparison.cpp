@@ -212,7 +212,6 @@ int main(int argc, char** argv) {
     for (const auto& r : long_rows) csv.addRow(r);
     std::printf("(csv: %s)\n", opt.csv_path.c_str());
   }
-  bench::printTraceCacheSummary(opt);
 
   bool all_ok = true;
   for (const auto& [app, m] : runs) {

@@ -4,10 +4,10 @@
 //              [--scale=F] [--jobs=N]
 //
 // Runs a pinned canonical workload set — one execution-driven run per
-// SystemKind, a warm-trace-cache replay, and a small parallel grid — with
-// warmup plus median-of-N trials, and emits a schema-versioned
-// BENCH_<tag>.json: per-phase host wall ms (from the obs::prof phase
-// tree), pages/s throughput, peak RSS, trace-cache hit rate, thread-pool
+// SystemKind, a small parallel grid, a 64-node run, a block-trace serve
+// loop and an engine micro — with warmup plus median-of-N trials, and
+// emits a schema-versioned BENCH_<tag>.json: per-phase host wall ms (from
+// the obs::prof phase tree), pages/s throughput, peak RSS, thread-pool
 // utilization, and host provenance. tools/nwcperf compares two such files
 // and gates CI on the ratio.
 //
@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <stdexcept>
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "apps/runner.hpp"
-#include "apps/trace_cache.hpp"
 #include "sim/engine.hpp"
 #include "machine/arena.hpp"
 #include "machine/config.hpp"
@@ -74,7 +72,6 @@ struct TrialSample {
   double wall_ms = 0.0;
   double pages_per_s = 0.0;
   double events_per_s = 0.0;
-  double trace_hit_rate = 0.0;
   double pool_utilization = 0.0;
   std::map<std::string, double> phase_wall_ms;
 };
@@ -107,11 +104,6 @@ MeasuredWorkload measure(const std::string& name, const SuiteOptions& opt,
   std::uint64_t check = 0;
   for (unsigned t = 0; t < opt.warmup + opt.trials; ++t) {
     obs::prof::reset();
-    const auto& stats_before = apps::traceCacheStats();
-    const std::uint64_t replays0 = stats_before.replays.load();
-    const std::uint64_t total0 = replays0 + stats_before.executes.load() +
-                                 stats_before.records.load() +
-                                 stats_before.fallbacks.load();
     const auto w0 = std::chrono::steady_clock::now();
     const apps::RunSummary s = body();
     const double wall_ms = std::chrono::duration<double, std::milli>(
@@ -136,14 +128,6 @@ MeasuredWorkload measure(const std::string& name, const SuiteOptions& opt,
     sample.pages_per_s = wall_s > 0.0 ? pages / wall_s : 0.0;
     sample.events_per_s =
         wall_s > 0.0 ? static_cast<double>(s.engine_events) / wall_s : 0.0;
-    const auto& stats_after = apps::traceCacheStats();
-    const std::uint64_t replays_d = stats_after.replays.load() - replays0;
-    const std::uint64_t total_d =
-        stats_after.replays.load() + stats_after.executes.load() +
-        stats_after.records.load() + stats_after.fallbacks.load() - total0;
-    sample.trace_hit_rate =
-        total_d > 0 ? static_cast<double>(replays_d) / static_cast<double>(total_d)
-                    : 0.0;
     const obs::prof::Report rep = obs::prof::snapshot();
     sample.pool_utilization = rep.poolUtilization();
     collectPhases(rep.root, "", sample.phase_wall_ms);
@@ -163,8 +147,6 @@ MeasuredWorkload measure(const std::string& name, const SuiteOptions& opt,
   out.result.pages_per_s = pick([](const TrialSample& s) { return s.pages_per_s; });
   out.result.events_per_s =
       pick([](const TrialSample& s) { return s.events_per_s; });
-  out.result.trace_hit_rate =
-      pick([](const TrialSample& s) { return s.trace_hit_rate; });
   out.result.pool_utilization =
       pick([](const TrialSample& s) { return s.pool_utilization; });
   out.result.peak_rss_bytes = util::peakRssBytes();
@@ -173,9 +155,8 @@ MeasuredWorkload measure(const std::string& name, const SuiteOptions& opt,
     for (const auto& [k, v] : s.phase_wall_ms) by_phase[k].push_back(v);
   }
   for (auto& [k, v] : by_phase) {
-    // A phase missing from some trials (e.g. a one-time trace-store) medians
-    // over the trials that saw it; pad with zeros so it medians to zero when
-    // most trials skipped it.
+    // A phase missing from some trials medians over the trials that saw it;
+    // pad with zeros so it medians to zero when most trials skipped it.
     while (v.size() < samples.size()) v.push_back(0.0);
     out.result.phase_wall_ms[k] = median(v);
   }
@@ -209,7 +190,6 @@ std::string benchJson(const SuiteOptions& opt,
         .add("pages_per_s", w.pages_per_s)
         .add("events_per_s", w.events_per_s)
         .add("peak_rss_bytes", w.peak_rss_bytes)
-        .add("trace_hit_rate", w.trace_hit_rate)
         .add("pool_utilization", w.pool_utilization)
         .addRaw("phases", phases.str());
     wl_json.push_back(o.str());
@@ -276,23 +256,7 @@ int main(int argc, char** argv) {
                           }).result);
     }
 
-    // 2) Warm trace-cache replay: record once (unmeasured), then replay
-    // trials — the trace-load + replay path the batch tools lean on.
-    {
-      const std::filesystem::path tdir =
-          std::filesystem::temp_directory_path() / "nwc_perf_suite_traces";
-      std::filesystem::remove_all(tdir);
-      const apps::TraceCacheConfig tc{tdir.string(), apps::TraceMode::kAuto};
-      const machine::MachineConfig cfg = pinnedConfig(machine::SystemKind::kNWCache);
-      apps::runAppCached(cfg, "radix", opt.scale, tc, apps::ObsSinks{});  // record
-      workloads.push_back(measure("radix/replay-warm", opt, [&] {
-                            return apps::runAppCached(cfg, "radix", opt.scale, tc,
-                                                      apps::ObsSinks{});
-                          }).result);
-      std::filesystem::remove_all(tdir);
-    }
-
-    // 3) Parallel grid: independent simulations on a work-stealing pool —
+    // 2) Parallel grid: independent simulations on a work-stealing pool —
     // the thread-pool utilization + arena-reuse path nwcbatch exercises.
     {
       static const char* kApps[] = {"radix", "sor", "mg", "gauss"};
@@ -322,7 +286,7 @@ int main(int argc, char** argv) {
           }).result);
     }
 
-    // 4) The 64-node canonical workload: the machine model at 8x the
+    // 3) The 64-node canonical workload: the machine model at 8x the
     // nodes of the per-system runs.
     {
       machine::MachineConfig cfg = pinnedConfig(machine::SystemKind::kNWCache);
@@ -333,7 +297,7 @@ int main(int argc, char** argv) {
                           }).result);
     }
 
-    // 5) Block-trace front end: synthetic generation (inside the runner's
+    // 4) Block-trace front end: synthetic generation (inside the runner's
     // "setup" phase) plus the blockAccess serve loop — the storage-workload
     // hot path nwcgen-produced traces replay through. Scaled like the
     // kernels so --scale trims it proportionally.
@@ -346,7 +310,7 @@ int main(int argc, char** argv) {
                           }).result);
     }
 
-    // 6) Engine/calendar micro: event-loop churn with no machine model on
+    // 5) Engine/calendar micro: event-loop churn with no machine model on
     // top, isolating CalendarQueue push/pop and coroutine frame recycling.
     // The summary is fabricated (there is no app to verify); exec_time pins
     // determinism across trials like every other workload.

@@ -88,8 +88,7 @@ class AppContext {
   /// Charge `cycles` of local computation on `cpu` (scaled by the machine's
   /// `compute_cycle_scale` to approximate a full instruction stream).
   void compute(int cpu, sim::Tick cycles) {
-    // Recorded raw: replay re-applies the replay config's scale, so traces
-    // stay valid across compute_cycle_scale sweeps.
+    // Reported raw, before compute_cycle_scale (see machine::RefRecorder).
     if (auto* rec = m_->refRecorder())
       rec->onCompute(cpu, static_cast<std::uint64_t>(cycles));
     m_->compute(cpu, static_cast<sim::Tick>(

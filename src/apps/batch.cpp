@@ -48,8 +48,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   static const std::set<std::string> kBatchKeys = {
       "apps",       "systems",        "prefetch",  "scale",      "seeds",
       "csv",        "jsonl",          "meta_dir",  "best_min_free", "jobs",
-      "heartbeat_secs", "resume",     "trace_dir", "trace_mode", "sample_interval",
-      "sample_dir", "status"};
+      "heartbeat_secs", "resume",     "sample_interval", "sample_dir", "status"};
   // [machine] keys are checked by applyIni; everything else must be a
   // known [batch] key, so a typo or a retired key fails instead of
   // silently running the default grid.
@@ -118,12 +117,6 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
     spec.heartbeat_secs = static_cast<unsigned>(*v);
   }
   if (const auto v = ini.getBool("batch.resume")) spec.resume = *v;
-  if (const auto v = ini.get("batch.trace_dir")) spec.trace_dir = *v;
-  if (const auto v = ini.get("batch.trace_mode")) {
-    if (!parseTraceMode(*v, spec.trace_mode)) {
-      throw std::runtime_error("batch: trace_mode must be off/auto/record/replay, got " + *v);
-    }
-  }
   if (const auto v = ini.getInt("batch.sample_interval")) {
     if (*v < 0) throw std::runtime_error("batch: sample_interval must be >= 0");
     spec.sample_interval = static_cast<sim::Tick>(*v);
@@ -460,8 +453,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
   // summaries (they would break the serial-vs-parallel byte-identity) and
   // land here instead. Peak RSS is the process high-water mark, so for a
   // parallel batch it is an upper bound on the cell's own footprint.
-  auto writeCellMeta = [&](std::size_t i, const RunSummary& s, double wall_ms,
-                           const TraceCacheResult& tr) {
+  auto writeCellMeta = [&](std::size_t i, const RunSummary& s, double wall_ms) {
     if (spec.meta_dir.empty()) return;
     obs::RunMeta meta;
     meta.app = grid[i].app;
@@ -475,16 +467,12 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     meta.peak_rss_bytes = util::peakRssBytes();
     meta.exec_pcycles = static_cast<std::uint64_t>(s.exec_time);
     meta.verified = s.verified;
-    meta.trace_outcome = toString(tr.outcome);
-    meta.kernel_trace_hash = tr.kernel_hash;
-    meta.trace_bytes = tr.trace_bytes;
     meta.health_verdict = s.health_verdict;
     meta.health_trips = s.health_trips;
     meta.fillHostFields();
     meta.write(spec.meta_dir + "/" + cellStem(i) + ".json");
   };
 
-  const TraceCacheConfig tc{spec.trace_dir, spec.trace_mode};
   // Largest RSS observed right after a cell finished — with the per-worker
   // arena this is close to the steady per-cell footprint (process-wide, so
   // parallel runs see the sum of concurrent workers).
@@ -506,8 +494,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
       sampler = std::make_unique<obs::Sampler>(scfg, healthContextFor(grid[i].cfg));
       sinks.sampler = sampler.get();
     }
-    TraceCacheResult tr;
-    RunSummary s = runAppCached(grid[i].cfg, grid[i].app, spec.scale, tc, sinks, &tr);
+    RunSummary s = runApp(grid[i].cfg, grid[i].app, spec.scale, sinks);
     if (sampler != nullptr && !spec.sample_dir.empty()) {
       const std::string stem = spec.sample_dir + "/" + cellStem(i);
       sampler->writeJson(stem + ".timeseries.json");
@@ -522,7 +509,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     while (rss > seen &&
            !cell_rss_peak.compare_exchange_weak(seen, rss, std::memory_order_relaxed)) {
     }
-    writeCellMeta(i, s, wall_ms, tr);
+    writeCellMeta(i, s, wall_ms);
     statusCell(i, s, wall_ms);
     return s;
   };

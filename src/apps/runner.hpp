@@ -46,8 +46,9 @@ struct ObsSinks {
   obs::EventTimeline* timeline = nullptr;
   obs::MetricsRegistry* registry = nullptr;
   std::vector<obs::AttrRecord>* attr_records = nullptr;
-  /// Kernel reference-stream capture (trace-driven replay); attached before
-  /// setup() so region allocations are seen. See apps/kernel_trace.hpp.
+  /// Kernel reference-stream capture (perfbench's traffic capture);
+  /// attached before setup() so region allocations are seen. See
+  /// machine::RefRecorder.
   machine::RefRecorder* ref_recorder = nullptr;
   /// Periodic in-run sampler (obs/sampler.hpp). When `timeline` is also
   /// attached, health onsets/clears land there as `health.*` instants.

@@ -3,10 +3,10 @@
 //
 // A WorkloadSource produces the per-cpu access stream; runWorkload() owns
 // everything else (machine construction, sink attachment, spawn order,
-// event loop, summary/metrics finalization). The seven paper kernels, the
-// .nwct replay engine, and the synthetic/recorded block-trace sources are
-// all implementations of this one interface, so every entry point
-// (nwcsim, nwcbatch, benches, tests) drives them identically.
+// event loop, summary/metrics finalization). The seven paper kernels and
+// the synthetic/recorded block-trace sources are all implementations of
+// this one interface, so every entry point (nwcsim, nwcbatch, benches,
+// tests, perfbench) drives them identically.
 //
 // Workload specs: anywhere an application name is accepted, two extra
 // spellings select non-kernel sources:
@@ -72,8 +72,8 @@ class KernelWorkload final : public WorkloadSource {
 };
 
 /// Runs one WorkloadSource on a machine built from `cfg`, with the full
-/// set of observability sinks. This is THE driver: runApp() and
-/// replayKernelTrace() are thin wrappers over it.
+/// set of observability sinks. This is THE driver: runApp() is a thin
+/// wrapper over it.
 RunSummary runWorkload(const machine::MachineConfig& cfg, WorkloadSource& src,
                        const ObsSinks& sinks);
 

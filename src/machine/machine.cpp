@@ -155,7 +155,7 @@ void Machine::cpuDone(int cpu) {
   ++cpus_done_;
   // Host timestamp of the moment the last CPU finished: everything the
   // event loop does after this is destage/drain tail work, which the
-  // profiler reports as its own phase (see runApp/replayApp).
+  // profiler reports as its own phase (see runWorkload).
   if (cpus_done_ == cfg_.num_nodes && obs::prof::enabled()) {
     host_drain_start_ns_ = obs::prof::nowNs();
   }

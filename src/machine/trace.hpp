@@ -71,7 +71,9 @@ class TraceBuffer {
   std::uint64_t dropped_ = 0;
 };
 
-/// Kernel reference-stream capture hook (trace-driven replay).
+/// Kernel reference-stream capture hook. Its user is the repository
+/// benchmark's traffic capture (perfbench), which records a kernel run's
+/// references and then times each memory-system layer on them alone.
 ///
 /// Attach one to a Machine before `start()` and every kernel-visible
 /// operation is reported: region allocations, memory accesses (full
@@ -84,7 +86,7 @@ class RefRecorder {
   virtual ~RefRecorder() = default;
 
   /// A region was reserved at `base` (`bytes` is the requested, pre-
-  /// page-rounding size — traces stay valid across page_bytes sweeps).
+  /// page-rounding size).
   virtual void onRegion(std::uint64_t base, std::uint64_t bytes,
                         const std::string& name) = 0;
   virtual void onAccess(int cpu, std::uint64_t vaddr, bool write) = 0;

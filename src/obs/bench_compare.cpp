@@ -108,7 +108,6 @@ BenchFile parseBenchFile(const std::string& json_text) {
     out.events_per_s = numberOr(w.find("events_per_s"), 0.0);
     out.peak_rss_bytes =
         static_cast<std::uint64_t>(numberOr(w.find("peak_rss_bytes"), 0.0));
-    out.trace_hit_rate = numberOr(w.find("trace_hit_rate"), 0.0);
     out.pool_utilization = numberOr(w.find("pool_utilization"), 0.0);
     if (const auto* phases = w.find("phases"); phases != nullptr && phases->isObject()) {
       for (const auto& [k, v] : phases->object) {
@@ -196,10 +195,6 @@ CompareResult compare(const BenchFile& baseline, const BenchFile& current,
            /*lower_better=*/true, /*time_metric=*/false);
     addRow(b.name, "pages_per_s", b.pages_per_s, c->pages_per_s, /*gates=*/false,
            /*lower_better=*/false, /*time_metric=*/false);
-    if (b.trace_hit_rate > 0.0 || c->trace_hit_rate > 0.0) {
-      addRow(b.name, "trace_hit_rate", b.trace_hit_rate, c->trace_hit_rate,
-             /*gates=*/false, /*lower_better=*/false, /*time_metric=*/false);
-    }
     if (b.pool_utilization > 0.0 || c->pool_utilization > 0.0) {
       addRow(b.name, "pool_utilization", b.pool_utilization, c->pool_utilization,
              /*gates=*/false, /*lower_better=*/false, /*time_metric=*/false);

@@ -31,12 +31,6 @@ struct RunMeta {
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t exec_pcycles = 0;
   bool verified = false;
-  // Trace-cache provenance: how the kernel reference stream was obtained
-  // ("executed" / "recorded" / "replayed"), the stream hash the cache was
-  // keyed by, and the on-disk trace size. Zero hash = cache uninvolved.
-  std::string trace_outcome = "executed";
-  std::uint64_t kernel_trace_hash = 0;
-  std::uint64_t trace_bytes = 0;
   // Continuous-telemetry verdict ("healthy" / "degraded"); empty when the
   // run was not sampled (the fields are then omitted from the JSON).
   std::string health_verdict;

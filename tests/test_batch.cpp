@@ -73,6 +73,11 @@ TEST(BatchSpec, RejectsUnknownKeys) {
   const std::string retired = std::string("sim_") + "threads";
   EXPECT_EQ(fromIniError("[batch]\n" + retired + " = 4\n"),
             "unknown [batch] key: " + retired);
+  // As do the retired kernel trace cache keys.
+  for (const std::string& key :
+       {std::string("trace_") + "dir", std::string("trace_") + "mode"}) {
+    EXPECT_EQ(fromIniError("[batch]\n" + key + " = x\n"), "unknown [batch] key: " + key);
+  }
   // So does a misspelt section or a key outside any section.
   EXPECT_EQ(fromIniError("[bach]\napps = sor\n"), "unknown INI key: bach.apps");
   EXPECT_EQ(fromIniError("apps = sor\n"), "unknown INI key: apps");
@@ -87,7 +92,7 @@ TEST(BatchSpec, ParsesEveryDocumentedKey) {
       "apps = sor\nsystems = nwcache\nprefetch = optimal\nscale = 0.5\n"
       "seeds = 4\ncsv = g.csv\njsonl = g.jsonl\nmeta_dir = meta\n"
       "best_min_free = false\njobs = 2\nheartbeat_secs = 0\nresume = true\n"
-      "trace_dir = traces\ntrace_mode = record\nsample_interval = 1000\n"
+      "sample_interval = 1000\n"
       "sample_dir = samples\nstatus = status.jsonl\n"));
   EXPECT_EQ(spec.base.memory_per_node, 65536u);
   EXPECT_EQ(spec.apps, (std::vector<std::string>{"sor"}));
@@ -102,8 +107,6 @@ TEST(BatchSpec, ParsesEveryDocumentedKey) {
   EXPECT_EQ(spec.jobs, 2u);
   EXPECT_EQ(spec.heartbeat_secs, 0u);
   EXPECT_TRUE(spec.resume);
-  EXPECT_EQ(spec.trace_dir, "traces");
-  EXPECT_EQ(spec.trace_mode, TraceMode::kRecord);
   EXPECT_EQ(spec.sample_interval, 1000u);
   EXPECT_EQ(spec.sample_dir, "samples");
   EXPECT_EQ(spec.status_path, "status.jsonl");

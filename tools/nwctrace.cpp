@@ -1,32 +1,21 @@
-// nwctrace: inspect trace files — kernel traces (.nwct) written by the
-// trace cache, and block traces (.nwcb binary / text) written by nwcgen.
+// nwctrace: inspect block traces (.nwcb binary / text) written by nwcgen.
 //
-//   nwctrace info <trace>                 header + region/client table
-//   nwctrace stat <trace>                 per-cpu / per-trace statistics
-//   nwctrace diff <a.nwct> <b.nwct>       compare two kernel traces
+//   nwctrace info <trace>                 header + client/object counts
+//   nwctrace stat <trace>                 per-client statistics
 //
-// `info`/`stat` sniff the format; block traces report counts, read/write
-// mix and a popularity-skew estimate. `diff` exits 0 when the traces would
-// replay identically (same kernel hash and byte-identical streams), 1 when
-// they differ, 2 on usage/read errors.
+// `info` reports counts and the time span; `stat` adds the read/write mix
+// per client and a popularity-skew estimate. Both exit 2 on usage errors
+// and on a file that is not a well-formed block trace.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 
 #include "apps/block_trace.hpp"
-#include "apps/kernel_trace.hpp"
-#include "obs/run_meta.hpp"
-#include "util/host.hpp"
 
 namespace {
 
 using nwc::apps::BlockTrace;
 using nwc::apps::BlockTraceStats;
-using nwc::apps::KernelTrace;
-using nwc::apps::StreamStats;
-
-KernelTrace load(const char* path) { return nwc::apps::readKernelTrace(path); }
 
 int cmdBlockInfo(const char* path, const BlockTrace& t) {
   const BlockTraceStats s = nwc::apps::summarizeBlockTrace(t);
@@ -71,151 +60,22 @@ int cmdBlockStat(const BlockTrace& t) {
   return 0;
 }
 
-int cmdInfo(const KernelTrace& t) {
-  std::printf("app:         %s\n", t.app.c_str());
-  std::printf("scale:       %.17g\n", t.scale);
-  std::printf("num_nodes:   %d\n", t.num_nodes);
-  std::printf("kernel_hash: %016llx\n",
-              static_cast<unsigned long long>(t.kernel_hash));
-  std::printf("version:     %u\n", nwc::apps::kKernelTraceVersion);
-  std::printf("verified:    %s\n", t.verified ? "yes" : "no");
-  std::printf("data_bytes:  %llu (%s)\n",
-              static_cast<unsigned long long>(t.data_bytes),
-              nwc::util::formatBytes(t.data_bytes).c_str());
-  std::printf("streams:     %zu (%s encoded)\n", t.streams.size(),
-              nwc::util::formatBytes(t.streamBytes()).c_str());
-  std::printf("regions:     %zu\n", t.regions.size());
-  for (std::size_t i = 0; i < t.regions.size(); ++i) {
-    std::printf("  [%zu] %-16s %12llu bytes\n", i, t.regions[i].name.c_str(),
-                static_cast<unsigned long long>(t.regions[i].bytes));
-  }
-  return 0;
-}
-
-int cmdStat(const KernelTrace& t) {
-  std::printf("%-5s %12s %12s %12s %10s %12s\n", "cpu", "reads", "writes",
-              "computes", "barriers", "bytes");
-  for (std::size_t i = 0; i < t.streams.size(); ++i) {
-    const StreamStats& s = t.stats[i];
-    std::printf("%-5zu %12llu %12llu %12llu %10llu %12zu\n", i,
-                static_cast<unsigned long long>(s.reads),
-                static_cast<unsigned long long>(s.writes),
-                static_cast<unsigned long long>(s.computes),
-                static_cast<unsigned long long>(s.barriers), t.streams[i].size());
-  }
-  const StreamStats tot = t.totals();
-  std::printf("%-5s %12llu %12llu %12llu %10llu %12llu\n", "total",
-              static_cast<unsigned long long>(tot.reads),
-              static_cast<unsigned long long>(tot.writes),
-              static_cast<unsigned long long>(tot.computes),
-              static_cast<unsigned long long>(tot.barriers),
-              static_cast<unsigned long long>(t.streamBytes()));
-  const std::uint64_t refs = tot.reads + tot.writes;
-  if (refs > 0) {
-    std::printf("(%.2f encoded bytes per reference)\n",
-                static_cast<double>(t.streamBytes()) / static_cast<double>(refs));
-  }
-  return 0;
-}
-
-int cmdDiff(const KernelTrace& a, const KernelTrace& b) {
-  int diffs = 0;
-  const auto mismatch = [&diffs](const char* what, const std::string& va,
-                                 const std::string& vb) {
-    std::printf("%-12s %s vs %s\n", what, va.c_str(), vb.c_str());
-    ++diffs;
-  };
-  if (a.app != b.app) mismatch("app:", a.app, b.app);
-  if (a.scale != b.scale) {
-    mismatch("scale:", std::to_string(a.scale), std::to_string(b.scale));
-  }
-  if (a.num_nodes != b.num_nodes) {
-    mismatch("num_nodes:", std::to_string(a.num_nodes),
-             std::to_string(b.num_nodes));
-  }
-  if (a.kernel_hash != b.kernel_hash) {
-    char ha[17], hb[17];
-    std::snprintf(ha, sizeof(ha), "%016llx",
-                  static_cast<unsigned long long>(a.kernel_hash));
-    std::snprintf(hb, sizeof(hb), "%016llx",
-                  static_cast<unsigned long long>(b.kernel_hash));
-    mismatch("kernel_hash:", ha, hb);
-  }
-  if (a.regions.size() != b.regions.size()) {
-    mismatch("regions:", std::to_string(a.regions.size()),
-             std::to_string(b.regions.size()));
-  } else {
-    for (std::size_t i = 0; i < a.regions.size(); ++i) {
-      if (a.regions[i].bytes != b.regions[i].bytes ||
-          a.regions[i].name != b.regions[i].name) {
-        std::printf("region[%zu]: %s/%llu vs %s/%llu\n", i,
-                    a.regions[i].name.c_str(),
-                    static_cast<unsigned long long>(a.regions[i].bytes),
-                    b.regions[i].name.c_str(),
-                    static_cast<unsigned long long>(b.regions[i].bytes));
-        ++diffs;
-      }
-    }
-  }
-  if (a.streams.size() != b.streams.size()) {
-    mismatch("streams:", std::to_string(a.streams.size()),
-             std::to_string(b.streams.size()));
-  } else {
-    for (std::size_t i = 0; i < a.streams.size(); ++i) {
-      if (a.streams[i] == b.streams[i]) continue;
-      const StreamStats& sa = a.stats[i];
-      const StreamStats& sb = b.stats[i];
-      std::printf("stream[%zu]: %zu vs %zu bytes "
-                  "(r %llu/%llu, w %llu/%llu, c %llu/%llu, b %llu/%llu)\n",
-                  i, a.streams[i].size(), b.streams[i].size(),
-                  static_cast<unsigned long long>(sa.reads),
-                  static_cast<unsigned long long>(sb.reads),
-                  static_cast<unsigned long long>(sa.writes),
-                  static_cast<unsigned long long>(sb.writes),
-                  static_cast<unsigned long long>(sa.computes),
-                  static_cast<unsigned long long>(sb.computes),
-                  static_cast<unsigned long long>(sa.barriers),
-                  static_cast<unsigned long long>(sb.barriers));
-      ++diffs;
-    }
-  }
-  if (diffs == 0) {
-    std::printf("traces identical (%zu streams, %s)\n", a.streams.size(),
-                nwc::util::formatBytes(a.streamBytes()).c_str());
-    return 0;
-  }
-  std::printf("%d difference%s\n", diffs, diffs == 1 ? "" : "s");
-  return 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* usage =
-      "usage: nwctrace info <trace>   (.nwct kernel or .nwcb/text block trace)\n"
-      "       nwctrace stat <trace>\n"
-      "       nwctrace diff <a.nwct> <b.nwct>\n";
-  if (argc < 2) {
+      "usage: nwctrace info <trace>   (.nwcb binary or text block trace)\n"
+      "       nwctrace stat <trace>\n";
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  if ((cmd != "info" && cmd != "stat") || argc != 3) {
     std::fputs(usage, stderr);
     return 2;
   }
-  const std::string cmd = argv[1];
   try {
-    if ((cmd == "info" || cmd == "stat") && argc == 3) {
-      if (nwc::apps::isBlockTraceFile(argv[2])) {
-        const BlockTrace bt = nwc::apps::readBlockTrace(argv[2]);
-        return cmd == "info" ? cmdBlockInfo(argv[2], bt) : cmdBlockStat(bt);
-      }
-      const KernelTrace t = load(argv[2]);
-      return cmd == "info" ? cmdInfo(t) : cmdStat(t);
-    }
-    if (cmd == "diff" && argc == 4) {
-      return cmdDiff(load(argv[2]), load(argv[3]));
-    }
+    const BlockTrace bt = nwc::apps::readBlockTrace(argv[2]);
+    return cmd == "info" ? cmdBlockInfo(argv[2], bt) : cmdBlockStat(bt);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "nwctrace: %s\n", ex.what());
     return 2;
   }
-  std::fputs(usage, stderr);
-  return 2;
 }
